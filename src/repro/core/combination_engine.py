@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from typing import List, Sequence
 
 from ..hw.buffer import ScratchpadBuffer
-from ..hw.dram import MemoryRequest
+from ..hw.dram import RequestBatch
 from ..models.layers import LayerWorkload
-from .aggregation_engine import IntervalAggregation, _chunk_requests
+from .aggregation_engine import IntervalAggregation
 from .config import HyGCNConfig, PipelineMode
 from .systolic import SystolicArrayModel
 
@@ -39,11 +39,11 @@ class IntervalCombination:
     weight_buffer_read_bytes: int
     output_buffer_bytes: int
     activation_ops: int
-    dram_requests: List[MemoryRequest] = field(default_factory=list)
+    dram_requests: RequestBatch = field(default_factory=RequestBatch.empty)
 
     @property
     def dram_bytes(self) -> int:
-        return sum(r.num_bytes for r in self.dram_requests)
+        return self.dram_requests.total_bytes
 
 
 class CombinationEngine:
@@ -105,16 +105,13 @@ class CombinationEngine:
             fetch_weights = (i == 0) or not weights_resident
             weight_dram = weight_bytes_total if fetch_weights else 0
             output_dram = vertices * out_bytes_per_vertex
-            requests = []
-            if weight_dram:
-                requests.extend(_chunk_requests("weights", 0, weight_dram, granularity))
-            requests.extend(_chunk_requests(
-                "output_features",
-                agg.interval_index * out_bytes_per_vertex * max(vertices, 1),
-                output_dram, granularity))
-            for request in requests:
-                if request.stream == "output_features":
-                    request.is_write = True
+            requests = RequestBatch.concat([
+                RequestBatch.from_runs("weights", [0], [weight_dram], granularity),
+                RequestBatch.from_runs(
+                    "output_features",
+                    [agg.interval_index * out_bytes_per_vertex * max(vertices, 1)],
+                    [output_dram], granularity, is_write=True),
+            ])
 
             # --- on-chip buffer traffic --------------------------------------
             self.weight_buffer.allocate("mlp", min(weight_bytes_total, cfg.weight_buffer_bytes))

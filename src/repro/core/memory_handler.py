@@ -18,9 +18,11 @@ Fig. 17.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
-from ..hw.dram import DRAMStats, HBMModel, MemoryRequest
+import numpy as np
+
+from ..hw.dram import DRAMStats, HBMModel, RequestBatch, Requests
 from .config import HyGCNConfig
 
 __all__ = ["AccessBatchResult", "MemoryAccessHandler", "ACCESS_PRIORITY"]
@@ -29,6 +31,7 @@ __all__ = ["AccessBatchResult", "MemoryAccessHandler", "ACCESS_PRIORITY"]
 ACCESS_PRIORITY: Tuple[str, ...] = (
     "edges", "input_features", "weights", "output_features",
 )
+_RANK = {stream: i for i, stream in enumerate(ACCESS_PRIORITY)}
 
 
 @dataclass
@@ -57,40 +60,40 @@ class MemoryAccessHandler:
         self.total_stats = DRAMStats()
 
     # ------------------------------------------------------------------ #
-    def _order_requests(self, requests: Sequence[MemoryRequest]) -> List[MemoryRequest]:
+    def _order_requests(self, requests: Requests) -> RequestBatch:
         """Order a concurrent batch according to the coordination policy."""
+        batch = RequestBatch.of(requests)
         if self.coordinated:
-            rank = {stream: i for i, stream in enumerate(ACCESS_PRIORITY)}
-            return sorted(requests, key=lambda r: rank.get(r.stream, len(rank)))
+            # stable sort by priority; streams outside ACCESS_PRIORITY go last
+            rank = np.array([_RANK.get(s, len(_RANK)) for s in batch.streams],
+                            dtype=np.int64)
+            return batch.take(np.argsort(rank[batch.stream], kind="stable"))
         # Uncoordinated: the engines' requests interleave as they arrive --
         # round-robin across streams models the worst-case fine-grained mix.
-        by_stream: Dict[str, List[MemoryRequest]] = {}
-        for request in requests:
-            by_stream.setdefault(request.stream, []).append(request)
-        ordered: List[MemoryRequest] = []
-        queues = list(by_stream.values())
-        index = 0
-        while any(queues):
-            queue = queues[index % len(queues)]
-            if queue:
-                ordered.append(queue.pop(0))
-            index += 1
-        return ordered
+        # Round r issues the r-th request of every stream, streams in order
+        # of first arrival: a sort by (position in stream, stream).
+        first_seen = batch.first_seen()
+        queue = np.zeros(len(batch.streams), dtype=np.int64)
+        queue[first_seen] = np.arange(len(first_seen))
+        queue = queue[batch.stream]
+        by_queue = np.argsort(queue, kind="stable")
+        sizes = np.bincount(queue, minlength=len(first_seen))
+        position = np.empty_like(queue)
+        position[by_queue] = np.arange(queue.size) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes)
+        return batch.take(np.lexsort((queue, position)))
 
     # ------------------------------------------------------------------ #
-    def service_batch(self, requests: Sequence[MemoryRequest]) -> AccessBatchResult:
+    def service_batch(self, requests: Requests) -> AccessBatchResult:
         """Service one batch of concurrent requests and attribute cycles per stream."""
-        if not requests:
+        if not len(requests):
             return AccessBatchResult(DRAMStats(), {})
         ordered = self._order_requests(requests)
         stats = self.hbm.service(ordered)
         self.total_stats = self.total_stats.merge(stats)
         # Attribute the busy time to streams proportionally to bytes moved:
         # the row-hit benefit of coordination is shared by all streams.
-        bytes_by_stream: Dict[str, int] = {}
-        for request in ordered:
-            bytes_by_stream[request.stream] = bytes_by_stream.get(request.stream, 0) \
-                + request.num_bytes
+        bytes_by_stream = ordered.bytes_by_stream()
         total_bytes = sum(bytes_by_stream.values()) or 1
         cycles_by_stream = {
             stream: int(round(stats.busy_cycles * b / total_bytes))

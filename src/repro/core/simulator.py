@@ -12,17 +12,17 @@ Event counts feed the energy model, and everything is collected into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 from ..graphs.graph import Graph
 from ..hw.buffer import BufferStats
-from ..hw.dram import DRAMStats, MemoryRequest
+from ..hw.dram import DRAMStats, RequestBatch
 from ..hw.energy import EnergyModel
 from ..models.base import GCNModel
 from ..models.diffpool import DiffPoolModel
 from ..models.layers import LayerWorkload
 from ..models.model_zoo import workloads_for
-from .aggregation_engine import AggregationEngine, IntervalAggregation, _chunk_requests
+from .aggregation_engine import AggregationEngine, IntervalAggregation
 from .combination_engine import CombinationEngine, IntervalCombination
 from .config import HyGCNConfig, PipelineMode
 from .coordinator import Coordinator, IntervalTiming
@@ -155,19 +155,19 @@ class HyGCNSimulator:
         stream_bytes: Dict[str, int] = {}
         total_stats = DRAMStats()
 
-        def account(requests: Sequence[MemoryRequest]) -> None:
-            for request in requests:
-                stream_bytes[request.stream] = stream_bytes.get(request.stream, 0) \
-                    + request.num_bytes
+        def account(requests: RequestBatch) -> None:
+            for stream, num_bytes in requests.bytes_by_stream().items():
+                stream_bytes[stream] = stream_bytes.get(stream, 0) + num_bytes
 
         if pipelined:
             for step in range(num_intervals + 1):
-                batch: List[MemoryRequest] = []
+                parts = []
                 if step < num_intervals:
-                    batch.extend(agg_tasks[step].dram_requests)
+                    parts.append(agg_tasks[step].dram_requests)
                 if step > 0:
-                    batch.extend(comb_tasks[step - 1].dram_requests)
-                if not batch:
+                    parts.append(comb_tasks[step - 1].dram_requests)
+                batch = RequestBatch.concat(parts)
+                if not len(batch):
                     continue
                 account(batch)
                 result = memory.service_batch(batch)
@@ -211,13 +211,14 @@ class HyGCNSimulator:
             spill = agg.num_vertices * bytes_per_vertex
             if spill <= 0:
                 continue
-            write_back = _chunk_requests("output_features",
-                                         agg.interval_index * spill, spill, granularity)
-            for request in write_back:
-                request.is_write = True
-            agg.dram_requests.extend(write_back)
-            comb.dram_requests.extend(_chunk_requests(
-                "input_features", agg.interval_index * spill, spill, granularity))
+            address = [agg.interval_index * spill]
+            agg.dram_requests = RequestBatch.concat([
+                agg.dram_requests,
+                RequestBatch.from_runs("output_features", address, [spill],
+                                       granularity, is_write=True)])
+            comb.dram_requests = RequestBatch.concat([
+                comb.dram_requests,
+                RequestBatch.from_runs("input_features", address, [spill], granularity)])
 
     def _run_diffpool_matmuls(self, model: DiffPoolModel, graph: Graph) -> LayerReport:
         """Account the three Eq. 8 matrix multiplications on the Combination Engine."""

@@ -42,16 +42,26 @@ class EffectualWindow:
 
 @dataclass
 class SparsityReport:
-    """Outcome of sparsity elimination for one destination interval."""
+    """Outcome of sparsity elimination for one destination interval.
 
-    windows: List[EffectualWindow]
+    Window ``i`` loads source rows ``[starts[i], stops[i])``.
+    """
+
+    starts: np.ndarray
+    stops: np.ndarray
     total_rows: int          # rows the baseline (no elimination) would load
     effectual_rows: int      # rows with at least one edge
 
     @property
+    def windows(self) -> List[EffectualWindow]:
+        """The effectual windows, top to bottom."""
+        return [EffectualWindow(start, stop)
+                for start, stop in zip(self.starts.tolist(), self.stops.tolist())]
+
+    @property
     def loaded_rows(self) -> int:
         """Rows actually loaded after sliding + shrinking."""
-        return sum(w.num_rows for w in self.windows)
+        return int((self.stops - self.starts).sum())
 
     @property
     def eliminated_rows(self) -> int:
@@ -86,27 +96,23 @@ class SparsityEliminator:
         into the current interval; ``num_rows`` is the total number of source
         rows (graph vertices).
         """
-        rows = np.unique(np.asarray(effectual_rows, dtype=np.int64))
-        if rows.size and (rows[0] < 0 or rows[-1] >= num_rows):
-            raise ValueError("effectual rows out of range")
-        windows: List[EffectualWindow] = []
+        return self.eliminate(effectual_rows, num_rows).windows
+
+    def _window_bounds(self, rows: np.ndarray):
+        """``(starts, stops)`` of the windows over sorted distinct ``rows``."""
+        # Sliding: a window's top row lands on an effectual row and covers
+        # the effectual rows up to ``top + height``; the next window starts
+        # at the first effectual row below that.
+        after = np.searchsorted(rows, rows + self.window_height, side="left")
+        follow = after.tolist()
+        tops = []
         i = 0
-        height = self.window_height
-        while i < len(rows):
-            # Sliding: the window's top row lands on the next effectual row.
-            win_start = int(rows[i])
-            win_end_excl = min(win_start + height, num_rows)
-            # All effectual rows covered by this (pre-shrink) window.
-            j = int(np.searchsorted(rows, win_end_excl, side="left"))
-            covered_last = int(rows[j - 1])
-            # Shrinking: pull the bottom up to the last effectual row.
-            windows.append(EffectualWindow(win_start, covered_last + 1))
-            # The next window's search starts below the pre-shrink bottom row.
-            next_row_pos = win_start + height
-            while j < len(rows) and rows[j] < next_row_pos:  # pragma: no cover - defensive
-                j += 1
-            i = j
-        return windows
+        while i < rows.size:
+            tops.append(i)
+            i = follow[i]
+        tops = np.array(tops, dtype=np.int64)
+        # Shrinking: pull each bottom up to the last effectual row it covers.
+        return rows[tops], rows[after[tops] - 1] + 1
 
     def eliminate(self, source_rows: Sequence[int], num_rows: int,
                   baseline_rows: int = None) -> SparsityReport:
@@ -124,11 +130,16 @@ class SparsityEliminator:
             to ``num_rows`` (i.e. the whole feature matrix, interval by
             interval, per Algorithm 2).
         """
-        rows = np.unique(np.asarray(source_rows, dtype=np.int64)) if len(source_rows) \
-            else np.empty(0, dtype=np.int64)
-        windows = self.windows_for_rows(rows, num_rows) if rows.size else []
+        rows = np.asarray(source_rows, dtype=np.int64).reshape(-1)
+        if rows.size and (rows.min() < 0 or rows.max() >= num_rows):
+            raise ValueError("effectual rows out of range")
+        present = np.zeros(num_rows, dtype=bool)
+        present[rows] = True
+        rows = np.flatnonzero(present)
+        starts, stops = self._window_bounds(rows)
         return SparsityReport(
-            windows=windows,
+            starts=starts,
+            stops=stops,
             total_rows=num_rows if baseline_rows is None else baseline_rows,
             effectual_rows=int(rows.size),
         )

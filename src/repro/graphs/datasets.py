@@ -102,7 +102,6 @@ def dataset_names() -> list:
     return list(DATASETS.keys())
 
 
-@lru_cache(maxsize=32)
 def load_dataset(
     abbrev: str,
     seed: int = 0,
@@ -113,6 +112,9 @@ def load_dataset(
 
     Results are cached (datasets are immutable by convention) so benchmark
     sweeps that revisit the same dataset do not pay the generation cost again.
+    The cache is keyed on the resolved arguments, so every spelling of one
+    dataset (positional or keyword, defaults given or left out) shares one
+    entry; ``load_dataset.cache_clear()`` empties it.
 
     Parameters
     ----------
@@ -129,19 +131,27 @@ def load_dataset(
         raise KeyError(f"unknown dataset {abbrev!r}; known: {sorted(DATASETS)}")
     spec = DATASETS[abbrev]
     factor = spec.scale_factor if scale_factor is None else max(1, scale_factor)
+    flen = spec.feature_length if feature_length is None else feature_length
+    return _generate_dataset(abbrev, seed, factor, flen)
+
+
+@lru_cache(maxsize=32)
+def _generate_dataset(abbrev: str, seed: int, factor: int, flen: int) -> Graph:
+    spec = DATASETS[abbrev]
     num_vertices = max(2, spec.num_vertices // factor)
     num_edges = max(2, spec.num_edges // factor)
-    flen = spec.feature_length if feature_length is None else feature_length
     generator = _GENERATORS[spec.kind]
     kwargs = {}
     if spec.kind == "citation":
         kwargs["num_communities"] = max(4, num_vertices // 256)
     else:
         kwargs["skew"] = 1.3 if spec.abbrev in ("CL", "RD") else 1.1
-    graph = generator(
+    return generator(
         num_vertices, num_edges, flen, seed=seed, name=spec.name, **kwargs
     )
-    return graph
+
+
+load_dataset.cache_clear = _generate_dataset.cache_clear
 
 
 def dataset_table() -> list:

@@ -24,6 +24,7 @@ arithmetic (one ``repeat`` + one comparison over the edge list).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -102,15 +103,19 @@ class IntervalShardPartition:
         self,
         graph: Graph,
         intervals: Sequence[VertexInterval],
-        shards: Sequence[Sequence[EdgeShard]],
         interval_size: int,
         shard_height: int,
     ):
         self.graph = graph
         self.intervals = list(intervals)
-        self._shards = [list(row) for row in shards]
         self.interval_size = interval_size
         self.shard_height = shard_height
+
+    @cached_property
+    def _shards(self) -> List[List[EdgeShard]]:
+        """The shard grid, built on first use: the Aggregation Engine reads
+        only the intervals and the shard height."""
+        return _build_shards(self.graph, self.intervals, self.shard_height)
 
     @property
     def num_intervals(self) -> int:
@@ -166,11 +171,18 @@ def partition_graph(
     if interval_size < 1 or shard_height < 1:
         raise ValueError("interval_size and shard_height must be >= 1")
     n = graph.num_vertices
-    csc = graph.csc
     intervals = [
         VertexInterval(index=i, start=start, stop=min(start + interval_size, n))
         for i, start in enumerate(range(0, n, interval_size))
     ]
+    return IntervalShardPartition(graph, intervals, interval_size, shard_height)
+
+
+def _build_shards(graph: Graph, intervals: Sequence[VertexInterval],
+                  shard_height: int) -> List[List[EdgeShard]]:
+    """The (interval, row-block) grid of edge shards of ``graph``."""
+    n = graph.num_vertices
+    csc = graph.csc
     num_row_blocks = (n + shard_height - 1) // shard_height
     indptr, indices = csc.indptr, csc.indices
     shards: List[List[EdgeShard]] = []
@@ -201,7 +213,7 @@ def partition_graph(
                 edges=edges,
             ))
         shards.append(row_blocks)
-    return IntervalShardPartition(graph, intervals, shards, interval_size, shard_height)
+    return shards
 
 
 # --------------------------------------------------------------------------- #

@@ -81,6 +81,24 @@ class NeighborSampler:
             idx = np.unique(idx)
         return neighbors[idx]
 
+    def kept_degrees(self, degrees: np.ndarray) -> np.ndarray:
+        """How many of each vertex's ``degrees`` neighbours are kept.
+
+        Element ``v`` equals ``len(sample_neighbors(n))`` for any
+        neighbour array ``n`` of length ``degrees[v]``: both strategies
+        keep exactly the computed count (uniform draws that many distinct
+        indices; strided indices are more than one apart, so they stay
+        distinct after truncation).  No random numbers are drawn.
+        """
+        cfg = self.config
+        keep = degrees
+        if cfg.sampling_factor > 1:
+            keep = np.maximum(1, degrees // cfg.sampling_factor)
+        if cfg.max_neighbors is not None:
+            keep = np.minimum(keep, cfg.max_neighbors)
+        # zero-degree vertices keep their (empty) lists untouched
+        return np.where(degrees == 0, 0, keep)
+
     def sample_graph(self, graph: Graph) -> Graph:
         """Materialise the sampled graph (structure only; features are shared).
 
@@ -119,13 +137,7 @@ class NeighborSampler:
         colptr, row = graph.colptr, graph.row
         num_vertices = graph.num_vertices
         degs = np.diff(colptr)
-        keep = degs.copy()
-        if cfg.sampling_factor > 1:
-            keep = np.maximum(1, degs // cfg.sampling_factor)
-        if cfg.max_neighbors is not None:
-            keep = np.minimum(keep, cfg.max_neighbors)
-        # zero-degree vertices keep their (empty) lists untouched
-        keep = np.where(degs == 0, 0, keep)
+        keep = self.kept_degrees(degs)
         sampled = np.nonzero(keep < degs)[0]
         full_counts = np.where(keep < degs, 0, degs)
         total_full = int(full_counts.sum())

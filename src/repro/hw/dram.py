@@ -13,14 +13,26 @@ effects the evaluation depends on:
 * channel/bank-level parallelism: the coordinator remaps addresses so the low
   bits select channel and bank, letting independent streams proceed in
   parallel.
+
+Requests travel as a :class:`RequestBatch`: one int64 column per request
+field instead of one :class:`MemoryRequest` object per row-buffer chunk, so
+chunking, ordering and service are array operations.  A plain sequence of
+:class:`MemoryRequest` is still accepted wherever a batch is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Union
 
-__all__ = ["HBMConfig", "MemoryRequest", "DRAMStats", "HBMModel"]
+import numpy as np
+
+__all__ = ["HBMConfig", "MemoryRequest", "RequestBatch", "Requests", "DRAMStats",
+           "HBMModel"]
+
+#: Size of each stream's address region: 1 TiB keeps regions disjoint for
+#: any realistic input, so rows from different streams never alias.
+_REGION_BYTES = 1 << 40
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,136 @@ class MemoryRequest:
             raise ValueError("num_bytes must be positive")
         if self.address < 0:
             raise ValueError("address must be non-negative")
+
+
+class RequestBatch:
+    """A sequence of DRAM requests stored column-wise.
+
+    ``stream`` holds, per request, an index into the ``streams`` name tuple;
+    ``address``, ``num_bytes`` and ``is_write`` are the other
+    :class:`MemoryRequest` fields.  Sequence order is request order.
+    Iterating yields :class:`MemoryRequest` objects, and the constructor
+    applies the same checks as :class:`MemoryRequest`.
+    """
+
+    __slots__ = ("streams", "stream", "address", "num_bytes", "is_write")
+
+    def __init__(self, streams: Sequence[str], stream, address, num_bytes, is_write):
+        self.streams = tuple(streams)
+        self.stream = np.asarray(stream, dtype=np.int64)
+        self.address = np.asarray(address, dtype=np.int64)
+        self.num_bytes = np.asarray(num_bytes, dtype=np.int64)
+        self.is_write = np.asarray(is_write, dtype=bool)
+        if self.num_bytes.size and self.num_bytes.min() <= 0:
+            raise ValueError("num_bytes must be positive")
+        if self.address.size and self.address.min() < 0:
+            raise ValueError("address must be non-negative")
+
+    # ------------------------------------------------------------------ #
+    @classmethod
+    def empty(cls) -> "RequestBatch":
+        return cls((), [], [], [], [])
+
+    @classmethod
+    def of(cls, requests: "Requests") -> "RequestBatch":
+        """``requests`` as a batch (a batch is returned as is)."""
+        if isinstance(requests, RequestBatch):
+            return requests
+        codes: Dict[str, int] = {}
+        for request in requests:
+            codes.setdefault(request.stream, len(codes))
+        return cls(
+            tuple(codes),
+            np.array([codes[r.stream] for r in requests], dtype=np.int64),
+            np.array([r.address for r in requests], dtype=np.int64),
+            np.array([r.num_bytes for r in requests], dtype=np.int64),
+            np.array([r.is_write for r in requests], dtype=bool))
+
+    @classmethod
+    def from_runs(cls, stream: str, starts, sizes, granularity: int,
+                  is_write: bool = False) -> "RequestBatch":
+        """Split contiguous transfers into ``granularity``-sized requests.
+
+        Run ``i`` covers ``sizes[i]`` bytes from address ``starts[i]``; each
+        becomes consecutive requests of ``granularity`` bytes, the last one
+        carrying the remainder.  Runs are emitted in order and runs of no
+        bytes emit nothing.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        sizes = np.asarray(sizes, dtype=np.int64)
+        counts = np.where(sizes > 0, -(-sizes // granularity), 0)
+        run = np.repeat(np.arange(sizes.size), counts)
+        first_chunk = np.cumsum(counts) - counts
+        offset = (np.arange(run.size) - first_chunk[run]) * granularity
+        return cls(
+            (stream,), np.zeros(run.size, dtype=np.int64), starts[run] + offset,
+            np.minimum(granularity, sizes[run] - offset),
+            np.full(run.size, is_write, dtype=bool))
+
+    @classmethod
+    def concat(cls, batches: Sequence["RequestBatch"]) -> "RequestBatch":
+        """The requests of ``batches`` one after the other."""
+        batches = [b for b in batches if len(b)]
+        if len(batches) == 1:
+            return batches[0]
+        if not batches:
+            return cls.empty()
+        codes: Dict[str, int] = {}
+        for batch in batches:
+            for name in batch.streams:
+                codes.setdefault(name, len(codes))
+        stream = np.concatenate([
+            np.array([codes[n] for n in b.streams], dtype=np.int64)[b.stream]
+            for b in batches])
+        return cls(
+            tuple(codes), stream,
+            np.concatenate([b.address for b in batches]),
+            np.concatenate([b.num_bytes for b in batches]),
+            np.concatenate([b.is_write for b in batches]))
+
+    def take(self, order) -> "RequestBatch":
+        """The requests selected (and ordered) by an index array or slice."""
+        return RequestBatch(
+            self.streams, self.stream[order], self.address[order],
+            self.num_bytes[order], self.is_write[order])
+
+    # ------------------------------------------------------------------ #
+    def __len__(self) -> int:
+        return int(self.address.size)
+
+    def __iter__(self) -> Iterator[MemoryRequest]:
+        for code, address, num_bytes, is_write in zip(
+                self.stream.tolist(), self.address.tolist(),
+                self.num_bytes.tolist(), self.is_write.tolist()):
+            yield MemoryRequest(self.streams[code], address, num_bytes, is_write)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(index)
+        return MemoryRequest(self.streams[self.stream[index]], int(self.address[index]),
+                             int(self.num_bytes[index]), bool(self.is_write[index]))
+
+    @property
+    def total_bytes(self) -> int:
+        return int(self.num_bytes.sum())
+
+    def first_seen(self) -> List[int]:
+        """Stream codes in order of each stream's first request."""
+        if not self.stream.size:
+            return []
+        # a stream's first request starts one of the runs of equal codes
+        heads = self.stream[1:][self.stream[1:] != self.stream[:-1]]
+        return list(dict.fromkeys([int(self.stream[0])] + heads.tolist()))
+
+    def bytes_by_stream(self) -> Dict[str, int]:
+        """Bytes per stream name, keyed in order of first request."""
+        sums = np.zeros(len(self.streams), dtype=np.int64)
+        np.add.at(sums, self.stream, self.num_bytes)
+        return {self.streams[c]: int(sums[c]) for c in self.first_seen()}
+
+
+#: What the request-servicing entry points accept.
+Requests = Union[RequestBatch, Sequence[MemoryRequest]]
 
 
 @dataclass
@@ -134,64 +276,84 @@ class HBMModel:
         #: each stream is confined to a channel subset, modelling the naive
         #: address map used in the no-coordination ablation.
         self.interleave_low_bits = interleave_low_bits
-        self._open_rows = [
-            [-1] * self.config.banks_per_channel
-            for _ in range(self.config.num_channels)
-        ]
+        #: open row of every (channel, bank); -1 when the bank is closed
+        self._open_rows = np.full(
+            (self.config.num_channels, self.config.banks_per_channel), -1,
+            dtype=np.int64)
         #: distinct streams get distinct high-order address regions so rows
         #: from different streams never alias.
-        self._stream_regions = {}
+        self._stream_regions: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ #
     def _stream_base(self, stream: str) -> int:
         if stream not in self._stream_regions:
-            # 1 TiB per stream keeps regions disjoint for any realistic input.
-            self._stream_regions[stream] = len(self._stream_regions) * (1 << 40)
+            self._stream_regions[stream] = len(self._stream_regions) * _REGION_BYTES
         return self._stream_regions[stream]
 
-    def _map_address(self, request: MemoryRequest) -> tuple:
-        """Map a request to (channel, bank, row)."""
+    def _map_addresses(self, batch: RequestBatch):
+        """Map every request to its (channel, bank, row) arrays.
+
+        Streams get their address regions in order of first request.
+        """
         cfg = self.config
-        address = self._stream_base(request.stream) + request.address
-        block = address // cfg.row_buffer_bytes
+        base = np.zeros(len(batch.streams), dtype=np.int64)
+        for code in batch.first_seen():
+            base[code] = self._stream_base(batch.streams[code])
+        block = (base[batch.stream] + batch.address) // cfg.row_buffer_bytes
         if self.interleave_low_bits:
-            channel = block % cfg.num_channels
-            bank = (block // cfg.num_channels) % cfg.banks_per_channel
-            row = block // (cfg.num_channels * cfg.banks_per_channel)
+            upper, channel = np.divmod(block, cfg.num_channels)
+            row, bank = np.divmod(upper, cfg.banks_per_channel)
         else:
             # Naive map: the stream id picks the channel, so concurrent streams
             # collide on a few channels and banks see frequent row conflicts.
-            stream_index = list(self._stream_regions).index(request.stream)
-            channel = stream_index % cfg.num_channels
-            bank = block % cfg.banks_per_channel
-            row = block // cfg.banks_per_channel
+            stream_index = base // _REGION_BYTES
+            channel = stream_index[batch.stream] % cfg.num_channels
+            row, bank = np.divmod(block, cfg.banks_per_channel)
         return channel, bank, row
 
     # ------------------------------------------------------------------ #
-    def service(self, requests: Sequence[MemoryRequest]) -> DRAMStats:
-        """Service ``requests`` in order and return the aggregate statistics."""
+    def service(self, requests: Requests) -> DRAMStats:
+        """Service ``requests`` in order and return the aggregate statistics.
+
+        Each request hits when its bank's open row -- left by the previous
+        request to that bank, in this call or an earlier one -- is its row.
+        """
         cfg = self.config
-        stats = DRAMStats()
-        channel_busy = [0] * cfg.num_channels
-        for request in requests:
-            channel, bank, row = self._map_address(request)
-            open_row = self._open_rows[channel][bank]
-            transfer = -(-request.num_bytes // cfg.channel_bytes_per_cycle)
-            if open_row == row:
-                latency = cfg.cas_cycles + transfer
-                stats.row_hits += 1
-            else:
-                latency = (cfg.precharge_cycles + cfg.activate_cycles
-                           + cfg.cas_cycles + transfer)
-                stats.row_misses += 1
-                self._open_rows[channel][bank] = row
-            channel_busy[channel] += latency
-            stats.requests += 1
-            stats.bytes_transferred += request.num_bytes
-            stats.energy_pj += request.num_bytes * 8 * cfg.energy_pj_per_bit
-        stats.busy_cycles = max(channel_busy) if channel_busy else 0
-        stats.total_channel_cycles = sum(channel_busy)
-        return stats
+        batch = RequestBatch.of(requests)
+        if not len(batch):
+            return DRAMStats()
+        channel, bank, row = self._map_addresses(batch)
+        # requests to one bank are serviced in request order: a stable sort
+        # by bank makes each bank's accesses one contiguous run
+        flat_bank = channel * cfg.banks_per_channel + bank
+        order = np.argsort(flat_bank, kind="stable")
+        flat_bank, row = flat_bank[order], row[order]
+        new_bank = np.ones(row.size, dtype=bool)
+        new_bank[1:] = flat_bank[1:] != flat_bank[:-1]
+        open_rows = self._open_rows.reshape(-1)
+        previous = np.where(new_bank, open_rows[flat_bank],
+                            np.concatenate(([-1], row[:-1])))
+        hit = row == previous
+        last = np.append(new_bank[1:], True)
+        open_rows[flat_bank[last]] = row[last]
+
+        transfer = -(-batch.num_bytes[order] // cfg.channel_bytes_per_cycle)
+        latency = cfg.cas_cycles + transfer + np.where(
+            hit, 0, cfg.precharge_cycles + cfg.activate_cycles)
+        channel_busy = np.zeros(cfg.num_channels, dtype=np.int64)
+        np.add.at(channel_busy, flat_bank // cfg.banks_per_channel, latency)
+        row_hits = int(np.count_nonzero(hit))
+        # accumulated in request order, as one running float sum
+        energy = np.cumsum(batch.num_bytes * 8 * float(cfg.energy_pj_per_bit))
+        return DRAMStats(
+            requests=len(batch),
+            bytes_transferred=batch.total_bytes,
+            row_hits=row_hits,
+            row_misses=len(batch) - row_hits,
+            busy_cycles=int(channel_busy.max()),
+            total_channel_cycles=int(channel_busy.sum()),
+            energy_pj=float(energy[-1]),
+        )
 
     def service_stream(self, stream: str, total_bytes: int,
                        access_granularity: int = 64,
@@ -206,19 +368,13 @@ class HBMModel:
         """
         if total_bytes <= 0:
             return DRAMStats()
-        requests = []
         stride = access_granularity if sequential else self.config.row_buffer_bytes
-        address = 0
-        remaining = total_bytes
-        while remaining > 0:
-            chunk = min(access_granularity, remaining)
-            requests.append(MemoryRequest(stream, address, chunk, is_write=is_write))
-            address += stride
-            remaining -= chunk
-        return self.service(requests)
+        index = np.arange(-(-total_bytes // access_granularity), dtype=np.int64)
+        return self.service(RequestBatch(
+            (stream,), np.zeros_like(index), index * stride,
+            np.minimum(access_granularity, total_bytes - index * access_granularity),
+            np.full(index.size, is_write, dtype=bool)))
 
     def reset(self) -> None:
         """Close all rows (e.g. between independent experiments)."""
-        for channel in self._open_rows:
-            for bank in range(len(channel)):
-                channel[bank] = -1
+        self._open_rows.fill(-1)

@@ -137,10 +137,10 @@ class AggregationPhase:
     # ------------------------------------------------------------------ #
     def operation_count(self, graph: Graph, feature_length: int) -> int:
         """Number of scalar reduction operations performed (for workload models)."""
-        sampler = NeighborSampler(self.sampling) if self.sampling and self.sampling.enabled else None
-        total_edges = 0
-        for v in range(graph.num_vertices):
-            total_edges += len(self._neighbors(graph, sampler, v))
+        degrees = np.diff(graph.csc.indptr)
+        if self.sampling is not None and self.sampling.enabled:
+            degrees = NeighborSampler(self.sampling).kept_degrees(degrees)
+        total_edges = int(degrees.sum())
         per_edge = feature_length
         self_ops = graph.num_vertices * feature_length if self.include_self or \
             self.reducer in ("gcn_norm", "gin_sum") else 0

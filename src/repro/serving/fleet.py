@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import heapq
 import logging
+import math
 from collections import deque
 
 import numpy as np
@@ -1517,8 +1518,8 @@ def run_serving(
     the replayed report is bit-for-bit identical to the captured run's.
     """
     config = config or FleetConfig()
-    if update_rate < 0:
-        raise ValueError("update_rate must be >= 0")
+    if not (math.isfinite(update_rate) and update_rate >= 0):
+        raise ValueError(f"update_rate must be >= 0 and finite, got {update_rate}")
     graph = load_dataset(dataset, seed=seed)
     model = build_model(model_name, input_length=graph.feature_length)
     # streaming updates: the stream object must exist before the simulator

@@ -54,6 +54,7 @@ from __future__ import annotations
 import heapq
 import json
 import logging
+import math
 
 import numpy as np
 
@@ -193,8 +194,9 @@ class TenantConfig:
             raise ValueError("weight must be positive")
         if self.num_requests < 0:
             raise ValueError("num_requests must be >= 0")
-        if self.rate_rps is not None and self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive when set")
+        if self.rate_rps is not None and not (
+                math.isfinite(self.rate_rps) and self.rate_rps > 0):
+            raise ValueError("rate_rps must be positive and finite when set")
         if self.arrival not in ("poisson", "bursty", "ramp"):
             raise ValueError(
                 "per-tenant arrival must be 'poisson', 'bursty' or 'ramp' "
@@ -1165,8 +1167,8 @@ def run_multi_tenant(
     captured run bit-for-bit.
     """
     fleet = fleet or FleetConfig()
-    if update_rate < 0:
-        raise ValueError("update_rate must be >= 0")
+    if not (math.isfinite(update_rate) and update_rate >= 0):
+        raise ValueError(f"update_rate must be >= 0 and finite, got {update_rate}")
     # streaming updates: same deferred-fill pattern as run_serving -- the
     # stream object must exist before the simulator (it wraps every
     # tenant's graph), but its events need the resolved per-tenant rates

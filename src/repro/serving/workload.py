@@ -29,6 +29,7 @@ request ids and a ``tenant`` tag on every request.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -103,8 +104,8 @@ class WorkloadConfig:
     def __post_init__(self) -> None:
         if self.num_requests < 0:
             raise ValueError("num_requests must be >= 0")
-        if self.rate_rps <= 0:
-            raise ValueError("rate_rps must be positive")
+        if not (math.isfinite(self.rate_rps) and self.rate_rps > 0):
+            raise ValueError(f"rate_rps must be positive and finite, got {self.rate_rps}")
         if self.arrival not in ARRIVAL_PROCESSES:
             raise ValueError(
                 f"arrival must be one of {ARRIVAL_PROCESSES}, got {self.arrival!r}")

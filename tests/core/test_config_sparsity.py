@@ -143,3 +143,26 @@ class TestSparsityEliminator:
         report = SparsityEliminator(height).eliminate(rows, num_rows=200)
         assert report.loaded_rows >= report.effectual_rows
         assert 0.0 <= report.sparsity_reduction <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 299), max_size=120),
+        height=st.integers(1, 60),
+    )
+    def test_windows_match_sliding_shrinking_loop(self, rows, height):
+        # reference: slide the window top onto the next effectual row, then
+        # shrink its bottom onto the last effectual row it covers
+        effectual = sorted(set(rows))
+        want = []
+        i = 0
+        while i < len(effectual):
+            top = effectual[i]
+            j = i
+            while j < len(effectual) and effectual[j] < top + height:
+                j += 1
+            want.append(EffectualWindow(top, effectual[j - 1] + 1))
+            i = j
+        report = SparsityEliminator(height).eliminate(rows, num_rows=300)
+        assert report.windows == want
+        assert report.effectual_rows == len(effectual)
+        assert report.loaded_rows == sum(w.num_rows for w in want)

@@ -100,6 +100,16 @@ class TestDatasetRegistry:
         g = load_dataset("CS", feature_length=16, seed=0)
         assert g.feature_length == 16
 
+    def test_load_dataset_cache_ignores_call_spelling(self):
+        load_dataset.cache_clear()
+        first = load_dataset("IB")
+        spec = DATASETS["IB"]
+        for graph in (load_dataset("IB", seed=0), load_dataset("IB", 0),
+                      load_dataset(abbrev="IB", scale_factor=spec.scale_factor),
+                      load_dataset("IB", feature_length=spec.feature_length)):
+            assert graph is first
+        assert load_dataset("IB", seed=1) is not first
+
     def test_load_unknown_dataset(self):
         with pytest.raises(KeyError):
             load_dataset("XX")

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import Graph, SamplingConfig, erdos_renyi_graph
+from repro.graphs import (Graph, NeighborSampler, SamplingConfig, erdos_renyi_graph,
+                          power_law_graph)
+from repro.graphs.csc import from_csc, to_csc
 from repro.models import AggregationPhase, CombinationPhase, MLP, relu, softmax
 from repro.models.layers import LayerWorkload
 
@@ -93,6 +95,28 @@ class TestAggregationPhase:
         # edges contribute per-element ops, plus one self op per vertex
         flen = 5
         assert phase.operation_count(g, flen) == g.num_edges * flen + g.num_vertices * flen
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 50), strategy=st.sampled_from(["uniform", "strided"]),
+           max_neighbors=st.one_of(st.none(), st.integers(1, 12)),
+           sampling_factor=st.integers(1, 5), csc=st.booleans(),
+           reducer=st.sampled_from(["add", "gcn_norm"]))
+    def test_operation_count_matches_per_vertex_sampling(
+            self, seed, strategy, max_neighbors, sampling_factor, csc, reducer):
+        g = to_csc(power_law_graph(80, 900, feature_length=3, seed=seed))
+        if not csc:
+            g = from_csc(g)
+        sampling = SamplingConfig(max_neighbors=max_neighbors,
+                                  sampling_factor=sampling_factor,
+                                  strategy=strategy, seed=seed)
+        phase = AggregationPhase(reducer=reducer, include_self=False,
+                                 sampling=sampling)
+        # reference: sample every vertex's neighbour list and count
+        sampler = NeighborSampler(sampling)
+        edges = sum(len(sampler.sample_neighbors(g.in_neighbors(v))) if sampling.enabled
+                    else len(g.in_neighbors(v)) for v in range(g.num_vertices))
+        self_ops = g.num_vertices * 7 if reducer == "gcn_norm" else 0
+        assert phase.operation_count(g, 7) == edges * 7 + self_ops
 
     def test_unknown_reducer_rejected(self):
         with pytest.raises(ValueError):

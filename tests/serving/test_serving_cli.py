@@ -1,7 +1,10 @@
 """Smoke tests for ``python -m repro serve`` and the serving example."""
 
 import importlib.util
+import os
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -88,9 +91,34 @@ class TestServeCommand:
             main(SERVE_FAST + ["--dispatch", "random"])
 
 
+ROOT = Path(__file__).resolve().parent.parent.parent
+
+#: A non-finite rate once hung the event loop (NaN arrival times) or ran a
+#: meaningless report (infinite rate); each must now exit 2 quickly.
+NON_FINITE_RATE_ARGS = [
+    ["--rate=nan"], ["--rate=inf"], ["--rate=-inf"],
+    ["--update-rate=nan"], ["--update-rate=inf"],
+    ["--tenants", str(ROOT / "examples" / "tenants.json"), "--update-rate=nan"],
+]
+
+
+@pytest.mark.parametrize("flags", NON_FINITE_RATE_ARGS, ids=" ".join)
+def test_non_finite_rates_exit_2_quickly(flags):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "serve", "--dataset", "IB",
+         "--requests", "40", "--chips", "1", *flags],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 30
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_online_serving_example_runs(capsys):
-    path = Path(__file__).resolve().parent.parent.parent \
-        / "examples" / "online_serving.py"
+    path = ROOT / "examples" / "online_serving.py"
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[path.stem] = module
