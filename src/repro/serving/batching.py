@@ -86,8 +86,8 @@ def resolve_signature_hops(overlap_k: Optional[int], num_hops: int) -> int:
     serving hop depth.
 
     The single source of the signature-depth rule -- the CLI's
-    ``--overlap-k``, :attr:`FleetConfig.signature_hops` and both event
-    loops' signature functions all resolve through here, so single- and
+    ``--overlap-k``, :attr:`FleetConfig.signature_hops` and every lane's
+    signature function all resolve through here, so single- and
     multi-tenant runs can never drift onto different depths.  One hop is
     the default: direct neighbourhoods predict fused-subgraph shrinkage
     well and keep signatures cheap.

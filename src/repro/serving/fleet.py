@@ -1,18 +1,18 @@
 """Multi-accelerator fleet simulation driven by a discrete-event clock.
 
-The fleet is ``num_chips`` independent :class:`~repro.core.simulator.HyGCNSimulator`
-instances, each with a FIFO dispatch queue.  The event loop advances a
-simulated clock over three event kinds:
-
-* ``arrival``    -- a request enters: either answered by the result cache,
-  late-joined into a formed-but-unstarted batch (``continuous`` formation,
-  :mod:`repro.serving.batching`) or handed to the batcher (which may emit
-  a batch immediately on its size cap);
-* ``flush``      -- a batching-policy deadline fired (timeout / SLO budget);
-  formation policies may emit an overlap group and keep the rest pending,
-  so the loop re-arms the flush timer after every emission;
-* ``completion`` -- a chip finished a batch: its requests complete, the
-  result cache is populated, and the next queued batch starts.
+The fleet is ``num_chips`` :class:`~repro.core.simulator.HyGCNSimulator`
+instances.  One event loop (:class:`_EventLoop`) serves every deployment:
+it runs over a list of :class:`Lane` request streams -- one (``""``) for
+:class:`ServingSimulator`, one per tenant for
+:class:`~repro.serving.tenancy.MultiTenantSimulator` -- and advances a
+simulated clock over seven event kinds: arrivals (answered by the result
+cache, shed or degraded by the control plane, late-joined into a formed
+batch under ``continuous`` formation, or handed to the lane's batcher),
+batching flush deadlines, chip completions, streaming graph updates,
+control ticks, chip warm-ups and metrics scrapes.  The only difference
+between the simulators is the *dispatch stage* between batch formation
+and the chips: per-chip FIFO queues fed by a dispatch policy
+(:class:`_ChipQueueLoop`), or :class:`WFQScheduler` pull (multi-tenant).
 
 A batch's *service time* is the simulated execution time reported by
 :class:`~repro.core.stats.SimulationReport` for the **deduped fused
@@ -25,7 +25,7 @@ consecutive batches overlap (which is what the locality-aware dispatch
 policy tries to maximise, and what the overlap-aware formation policies
 in :mod:`repro.serving.batching` maximise *within* a batch).
 
-Dispatch policies:
+Dispatch policies (per-chip queues):
 
 * ``round-robin``  -- cycle through the chips (oblivious, perfectly fair);
 * ``least-loaded`` -- pick the chip with the fewest outstanding requests;
@@ -37,12 +37,9 @@ Dispatch policies:
   the batch's profile bucket; falls back to least-loaded while any
   candidate shape is still cold for that bucket.
 
-This module also hosts :class:`WFQScheduler`, the weighted-fair-queueing
-stage that multi-tenant serving (:mod:`repro.serving.tenancy`) inserts
-between per-tenant batch formation and the chips: deficit round-robin over
-per-tenant backlog queues, with each batch's cost being its estimated fused
-service time, so chip-time (not batch count) is what gets shared in
-proportion to tenant weights.
+:class:`WFQScheduler` is deficit round-robin over per-tenant backlog
+queues, with each batch's cost being its estimated fused service time, so
+chip-time (not batch count) is shared in proportion to tenant weights.
 
 With a :class:`~repro.serving.control.ControlConfig` armed the fleet becomes
 *elastic*: chips move through a warming -> active -> draining -> retired
@@ -55,7 +52,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import math
 from collections import deque
 
 import numpy as np
@@ -71,7 +67,6 @@ from ..models.model_zoo import build_model
 from .batcher import Batch
 from .batching import (
     ALL_BATCH_POLICIES,
-    BATCH_POLICIES,
     build_batch_policy,
     make_signature_fn,
     resolve_signature_hops,
@@ -96,15 +91,19 @@ from .stats import (
     HeteroStats,
     RequestRecord,
     ServingReport,
+    ShardingStats,
+    percentile,
 )
-from .streaming import StreamState, UpdateStream, generate_update_stream, \
-    parse_update_mix
+from .streaming import StreamState, generate_update_stream, \
+    open_update_stream, parse_update_mix, stamp_update_meta
 from .workload import Request, RequestGenerator, WorkloadConfig, trace_arrival_times
 
 __all__ = [
     "DISPATCH_POLICIES",
     "FleetConfig",
     "Chip",
+    "Lane",
+    "FleetSimulator",
     "ServingSimulator",
     "WFQScheduler",
     "run_serving",
@@ -120,7 +119,8 @@ _ARRIVAL, _FLUSH, _COMPLETION, _CONTROL, _CHIP_READY, _METRICS, _UPDATE = \
 
 logger = logging.getLogger("repro.serving.fleet")
 
-#: EWMA weight for the per-request cost estimate the control plane consumes.
+#: EWMA weight of the cost estimates (per request for the control plane, per
+#: fused vertex for WFQ pricing) and of the overlap-ratio gauge.
 _COST_EWMA_ALPHA = 0.3
 
 #: Adaptive defaults, as multiples of the probe-batch service time: a batch
@@ -605,17 +605,16 @@ def probe_batch_service_time_s(hw: HyGCNConfig, sampler, model,
 class FleetScaler:
     """Executes the control plane's sizing decisions on a chip roster.
 
-    Shared by the single- and multi-tenant event loops so warm-up,
-    drain-before-remove and timeline accounting cannot drift between them.
-    The loops stay in charge of their own event heaps (``schedule_ready``
-    pushes the loop's ``_CHIP_READY`` event) and of which active chip a
-    scale-in should drain (``drain_victim`` -- single-tenant chips hold
-    private queues, multi-tenant chips pull from the shared WFQ stage).
+    Owns warm-up, drain-before-remove and timeline accounting.  The event
+    loop stays in charge of its heap (``schedule_ready`` pushes the loop's
+    ``_CHIP_READY`` event) and of which active chip a scale-in should drain
+    (``drain_victim`` -- it depends on the dispatch stage: per-chip queues
+    drain the emptiest queue, WFQ pull an idle chip).
 
     On a heterogeneous fleet a :class:`~repro.serving.hetero.ShapeChooser`
-    decides *which shape* each scale-up commissions (the loops' drain
-    victims already consult it on the way down); homogeneous fleets pass
-    ``None`` and every new chip takes the fleet's base shape.
+    decides *which shape* each scale-up commissions and each scale-down
+    drains; homogeneous fleets pass ``None`` and every new chip takes the
+    fleet's base shape.
     """
 
     def __init__(self, chips: List[Chip], control: ControlPlane,
@@ -798,11 +797,174 @@ class WFQScheduler:
         self._credited = False
 
 
-class ServingSimulator:
-    """Discrete-event simulation of online inference over a chip fleet.
+class Lane:
+    """One request stream's share of the serving loop.
+
+    A lane owns everything that is per-stream rather than per-fleet: graph,
+    model, sampler, result cache, batcher, the probe-calibrated time scales
+    (SLO, batch timeout, continuous-batching budgets) and the cost EWMAs the
+    control plane reads.  Single-tenant serving runs one lane named ``""``;
+    multi-tenant serving runs one :class:`~repro.serving.tenancy.\
+TenantRuntime` lane per tenant.  ``cache_key`` maps a vertex id to its
+    feature/halo-cache key (``None`` = the id itself): tenants key by
+    ``(tenant, vertex)`` so ids from different graphs never alias.
+
+    The simulator binds ``shard_executor`` / ``stream`` on sharded and
+    mutating runs; :meth:`reset` arms a fresh batcher and cost estimates.
+    """
+
+    def __init__(self, name: str, graph: Graph, model, sampler: SubgraphSampler,
+                 dataset_name: str, fleet: FleetConfig, *, seed: int,
+                 max_batch_size: int, batch_policy: str, cache_size: int,
+                 slo_s: Optional[float] = None,
+                 batch_timeout_s: Optional[float] = None, cache_key=None):
+        self.name = name
+        self.graph = graph
+        self.model = model
+        self.sampler = sampler
+        self.dataset_name = dataset_name
+        self.fleet = fleet
+        self.seed = seed
+        self.max_batch_size = max_batch_size
+        self.batch_policy = batch_policy
+        self.cache_key = cache_key
+        self._slo_s = slo_s
+        self._batch_timeout_s = batch_timeout_s
+        self.result_cache = LRUCache(cache_size)
+        self.overlap_aware = batch_policy in ("overlap", "continuous")
+        self.probe_batch_size = min(max_batch_size, graph.num_vertices)
+        self._shapes = fleet.distinct_shapes()
+        self._probe_by_shape: Dict[str, float] = {}
+        # shape tracking: a mixed roster always accounts shapes; shape-aware
+        # dispatch additionally scores with them (on a homogeneous fleet it
+        # degenerates to least-loaded).  Service rates are model/dataset-
+        # specific, so every lane learns its own per-(shape, bucket) rates.
+        track = fleet.heterogeneous or fleet.dispatch == "shape-aware"
+        self.shape_scorer: Optional[ShapeScorer] = \
+            ShapeScorer() if track else None
+        self.profile_fn = make_profile_fn(sampler, graph.feature_length) \
+            if track else None
+        self.shard_executor: Optional[ShardExecutor] = None
+        self.stream: Optional[StreamState] = None
+        self.batcher = None
+        self.batching: Optional[BatchingStats] = None
+        self.overlap_ewma = 0.0
+        self.cost_per_request_s = 0.0
+        self.arrivals_left = 0
+        self.scheduled_flush: Optional[float] = None
+
+    # ------------------------------------------------------------------ #
+    # Adaptive time scales
+    # ------------------------------------------------------------------ #
+    def probe_for_shape(self, shape: str) -> float:
+        """Probe-batch service time on one chip shape (memoised per shape)."""
+        cached = self._probe_by_shape.get(shape)
+        if cached is None:
+            cached = probe_batch_service_time_s(
+                self._shapes[shape], self.sampler, self.model,
+                self.dataset_name, self.max_batch_size,
+                self.graph.num_vertices, self.seed)
+            self._probe_by_shape[shape] = cached
+        return cached
+
+    @property
+    def probe_service_s(self) -> float:
+        """Service time of one full batch of uniformly-drawn distinct targets.
+
+        On a heterogeneous fleet this is the **slowest** shape's probe time,
+        so adaptive timeouts and SLOs stay meetable wherever a batch lands;
+        a homogeneous fleet reduces to its single probe.
+        """
+        return max(self.probe_for_shape(shape) for shape in self._shapes)
+
+    @property
+    def slo_s(self) -> float:
+        """The latency SLO: configured value, or a multiple of the probe service."""
+        if self._slo_s is not None:
+            return self._slo_s
+        return _SLO_SERVICE_MULTIPLE * self.probe_service_s
+
+    @property
+    def batch_timeout_s(self) -> float:
+        """Timeout-flush budget: configured, or a multiple of the probe service."""
+        if self._batch_timeout_s is not None:
+            return self._batch_timeout_s
+        return _TIMEOUT_SERVICE_MULTIPLE * self.probe_service_s
+
+    @property
+    def join_window_s(self) -> float:
+        """Continuous-batching join window: configured, or the batch timeout."""
+        if self.fleet.join_window_s is not None:
+            return self.fleet.join_window_s
+        return self.batch_timeout_s
+
+    @property
+    def staleness_s(self) -> float:
+        """Continuous-batching staleness budget: configured, or half the SLO."""
+        if self.fleet.staleness_s is not None:
+            return self.fleet.staleness_s
+        return 0.5 * self.slo_s
+
+    def probe_fused_size(self) -> Tuple[int, int]:
+        """``(fused, naive)`` vertex counts of the probe batch."""
+        targets = probe_targets(self.graph.num_vertices, self.max_batch_size,
+                                self.seed)
+        return self.sampler.fused_size((int(t), None, None) for t in targets)
+
+    def seed_scorer(self, fused: int, naive: int) -> None:
+        """Prime the shape scorer from the per-shape probe batches.
+
+        The probe batch has one well-defined profile bucket; each shape's
+        probe time over the probe's fused size seeds that bucket's rate, so
+        the first real batch of the common regime can already be scored.
+        Other buckets stay cold until traffic warms them.  Idempotent: seeds
+        never clobber rates a previous run learned.
+        """
+        bucket = BatchProfile(est_fused_vertices=fused,
+                              est_naive_vertices=naive,
+                              batch_size=self.probe_batch_size,
+                              feature_length=self.graph.feature_length).bucket
+        for shape in self._shapes:
+            self.shape_scorer.seed(shape, bucket,
+                                   self.probe_for_shape(shape) / max(fused, 1))
+
+    def reset(self) -> None:
+        """Arm a fresh batcher, batching stats and cost estimates."""
+        fleet = self.fleet
+        self.batcher = build_batch_policy(
+            self.batch_policy, max_batch_size=self.max_batch_size,
+            timeout_s=self.batch_timeout_s, slo_s=self.slo_s,
+            signature_fn=make_signature_fn(
+                self.sampler, self.sampler.num_hops, self.sampler.fanout,
+                overlap_k=fleet.overlap_k) if self.overlap_aware else None,
+            min_overlap=fleet.min_overlap, pool_factor=fleet.pool_factor,
+            join_window_s=self.join_window_s, staleness_s=self.staleness_s,
+            tenant=self.name)
+        self.batching = BatchingStats(policy=self.batch_policy)
+        self.overlap_ewma = 0.0
+        # admission-control cost model: EWMA of service seconds per request
+        # (duplicates included -- backlog accounting is per request)
+        self.cost_per_request_s = self.probe_service_s / self.probe_batch_size
+        self.scheduled_flush = None
+
+    def observe_cost(self, batch: Batch, service_s: float) -> None:
+        """Fold an observed batch service time into the cost EWMAs."""
+        a = _COST_EWMA_ALPHA
+        self.overlap_ewma = a * batch.overlap_ratio + (1 - a) * self.overlap_ewma
+        self.cost_per_request_s = a * (service_s / batch.size) \
+            + (1 - a) * self.cost_per_request_s
+
+
+class FleetSimulator:
+    """What both serving simulators share: the chip roster, sharded and
+    streaming set-up over the lanes, and the service-time model.
+
+    :class:`ServingSimulator` (one lane, per-chip queues) and
+    :class:`~repro.serving.tenancy.MultiTenantSimulator` (one lane per
+    tenant, WFQ pull) subclass it and drive the same :class:`_EventLoop`.
 
     Passing a :class:`~repro.serving.control.ControlConfig` with any lever
-    armed makes the run *elastic*: the event loop consults a fresh
+    armed makes the run *elastic*: the loop consults a fresh
     :class:`~repro.serving.control.ControlPlane` on every cache-missing
     arrival (admission / degradation) and at every control interval
     (autoscaling between ``min_chips`` and ``max_chips``, with warm-up and
@@ -810,21 +972,10 @@ class ServingSimulator:
     ``num_chips`` clamped into the autoscaler's band.
     """
 
-    def __init__(self, graph: Graph, model, config: Optional[FleetConfig] = None,
-                 dataset_name: Optional[str] = None,
-                 control: Optional[ControlConfig] = None,
-                 observe=None, capture=None, updates=None):
-        self.config = config or FleetConfig()
-        #: Streaming-update hook (:class:`repro.serving.streaming.UpdateStream`)
-        #: or ``None``; arming it wraps the graph in a mutable
-        #: :class:`~repro.graphs.delta.DeltaGraph` and interleaves the
-        #: stream's events with query traffic.  ``updates.events`` may
-        #: still be empty at construction (the end-to-end driver fills
-        #: them once the arrival rate is calibrated); they are read at
-        #: :meth:`run`.
-        self.updates = updates
-        if updates is not None and not isinstance(graph, DeltaGraph):
-            graph = DeltaGraph(graph, compact_every=updates.compact_every)
+    def __init__(self, fleet: FleetConfig, lanes: Sequence[Lane],
+                 control: Optional[ControlConfig], observe, capture, updates):
+        self.fleet = fleet
+        self.lanes = list(lanes)
         #: Observability hub (:class:`repro.serving.observe.Instrumentation`)
         #: or ``None``; hooks are guarded so an uninstrumented run executes
         #: no observability code.
@@ -834,194 +985,632 @@ class ServingSimulator:
         #: event -- before the cache lookup and before the control plane's
         #: admission/degradation gate -- so a capture replays bit-for-bit.
         self.capture = capture
-        self.graph = graph
-        self.model = model
-        self.dataset_name = dataset_name or graph.name
-        cfg = self.config
+        #: Streaming-update stream (:class:`repro.serving.streaming.
+        #: UpdateStream`) or ``None``; its events may still be empty at
+        #: construction (the end-to-end drivers fill them once the arrival
+        #: rates are resolved) and are read when a run starts.
+        self.updates = updates
         self.control_config = control if control is not None and control.active \
             else None
-        self.sampler = SubgraphSampler(graph, num_hops=cfg.num_hops,
-                                       fanout=cfg.fanout, seed=cfg.seed)
-        initial_chips = cfg.num_chips
+        initial_chips = fleet.num_chips
         if self.control_config is not None \
                 and self.control_config.autoscale is not None:
             # only the autoscaler's band constrains the fleet; admission/
             # degrade-only control leaves the configured size untouched
             initial_chips = max(self.control_config.min_chips,
                                 min(self.control_config.max_chips,
-                                    cfg.num_chips))
-        roster = cfg.chip_roster()
+                                    initial_chips))
+        roster = fleet.chip_roster()
         # a min-chips band wider than the spec cycles the roster
         self.chips = [Chip(i, roster[i % len(roster)][1],
-                           cfg.feature_cache_size,
+                           fleet.feature_cache_size,
                            shape=roster[i % len(roster)][0])
                       for i in range(initial_chips)]
         self._next_chip_id = initial_chips
-        self._shapes = cfg.distinct_shapes()
-        self.result_cache = LRUCache(cfg.cache_size)
-        #: Sharded-execution driver (:mod:`repro.serving.sharding`), or
-        #: ``None`` on an unsharded fleet.  Chip 0 is the group leader and
-        #: stays ``active``; the other chips become non-schedulable
-        #: ``member`` chips serving sub-batches off the leader's clock.
-        self.shard_executor: Optional[ShardExecutor] = None
-        if cfg.sharding is not None:
+        self._shapes = fleet.distinct_shapes()
+        self._track_shapes = fleet.heterogeneous \
+            or fleet.dispatch == "shape-aware"
+        #: Fleet-wide sharded-execution stats (None on an unsharded fleet).
+        #: Chip 0 is the group leader and stays ``active``; the other chips
+        #: become non-schedulable ``member`` chips serving sub-batches off
+        #: the leader's clock.  Every lane gets its own executor, and they
+        #: all fold into this one object and share the halo caches.
+        self.sharding_stats: Optional[ShardingStats] = None
+        sharding = fleet.sharding
+        if sharding is not None:
             if self.control_config is not None:
                 raise ValueError(
                     "sharded execution cannot be combined with the elastic "
                     "control plane (a chip group cannot scale mid-run)")
-            plan = shard_plan_for(graph, cfg.sharding)
             for chip in self.chips[1:]:
                 chip.state = "member"
-            self.shard_executor = ShardExecutor(
-                plan, self.chips, self.sampler, self.model,
-                self.dataset_name, cfg.sharding,
-                feature_bytes=graph.feature_length
-                * graph.features.dtype.itemsize)
-        # shape tracking: a mixed roster always accounts shapes; the
-        # shape-aware policy additionally scores with them (and works on a
-        # homogeneous fleet, where it degenerates to least-loaded)
-        self._track_shapes = cfg.heterogeneous or cfg.dispatch == "shape-aware"
-        #: The per-(shape, bucket) service-rate model (None when untracked);
-        #: seeded from the per-shape probe batches at the start of each run.
-        self.scorer: Optional[ShapeScorer] = \
-            ShapeScorer() if self._track_shapes else None
-        self._profile_fn = make_profile_fn(self.sampler,
-                                           graph.feature_length) \
-            if self._track_shapes else None
-        self._dispatch = _build_dispatch(cfg.dispatch, graph.num_vertices,
-                                         initial_chips, scorer=self.scorer,
-                                         profile_fn=self._profile_fn)
-        self._probe_by_shape: Dict[str, float] = {}
-        #: The control plane of the most recent :meth:`run` (None when fixed).
-        self.control: Optional[ControlPlane] = None
-        #: The batcher of the most recent :meth:`run` (None before a run);
-        #: tests replay ``ContinuousBatcher.join_log`` through it to prove
-        #: the late-join budgets held.
-        self.batcher = None
-        #: Streaming applier / consistency tracker, or ``None`` on a
-        #: static run (see :mod:`repro.serving.streaming`).
-        self.stream: Optional[StreamState] = None
+            self.sharding_stats = ShardingStats(
+                num_shards=sharding.num_shards,
+                partitioner=sharding.partitioner)
+            feature_bytes = [lane.graph.feature_length
+                             * lane.graph.features.dtype.itemsize
+                             for lane in self.lanes]
+            # capacity is sized by the largest feature vector, so no lane
+            # over-fits the shared halo caches
+            capacity = int(sharding.halo_cache_mb * (1 << 20)
+                           / max(max(feature_bytes), 1))
+            halo_caches = [LRUCache(capacity)
+                           for _ in range(sharding.num_shards)]
+            for lane, nbytes in zip(self.lanes, feature_bytes):
+                lane.shard_executor = ShardExecutor(
+                    shard_plan_for(lane.graph, sharding), self.chips,
+                    lane.sampler, lane.model, lane.dataset_name, sharding,
+                    feature_bytes=nbytes, stats=self.sharding_stats,
+                    halo_caches=halo_caches, key_fn=lane.cache_key)
+        #: Consistency stats of a mutating run (None on a static one); every
+        #: lane serves its own graph through its own StreamState, and they
+        #: all fold into this one object.
         self.consistency: Optional[ConsistencyStats] = None
         if updates is not None:
             self.consistency = ConsistencyStats(
                 policy=updates.policy,
                 budget_versions=updates.staleness_budget_versions)
-            self.stream = StreamState(
-                graph, self.sampler, updates, self.consistency,
-                result_cache=self.result_cache, chips=self.chips,
-                shard_executor=self.shard_executor, observe=observe)
+            for lane in self.lanes:
+                lane.stream = StreamState(
+                    lane.graph, lane.sampler, updates, self.consistency,
+                    result_cache=lane.result_cache, chips=self.chips,
+                    feature_key=lane.cache_key,
+                    shard_executor=lane.shard_executor, observe=observe)
+        #: The control plane of the most recent run (None when fixed).
+        self.control: Optional[ControlPlane] = None
 
-    # ------------------------------------------------------------------ #
-    # Adaptive time scales
-    # ------------------------------------------------------------------ #
-    def probe_service_for_shape(self, shape: str) -> float:
-        """Probe-batch service time on one chip shape (memoised per shape)."""
-        cached = self._probe_by_shape.get(shape)
-        if cached is None:
-            cfg = self.config
-            cached = probe_batch_service_time_s(
-                self._shapes[shape], self.sampler, self.model,
-                self.dataset_name, cfg.max_batch_size,
-                self.graph.num_vertices, cfg.seed)
-            self._probe_by_shape[shape] = cached
-        return cached
+    def _new_chip(self, shape: Optional[str] = None) -> Chip:
+        """An unrostered chip of ``shape`` (the base shape when ``None``)."""
+        if shape is None:
+            shape, hw = self.fleet.base_shape, self.fleet.hw
+        else:
+            hw = self._shapes[shape]
+        chip = Chip(self._next_chip_id, hw, self.fleet.feature_cache_size,
+                    shape=shape)
+        self._next_chip_id += 1
+        return chip
 
-    @property
-    def probe_service_time_s(self) -> float:
-        """Service time of one full batch of uniformly-drawn distinct targets.
-
-        Computed once per shape and reused to calibrate the arrival rate and
-        to resolve the adaptive timeout / SLO defaults.  On a heterogeneous
-        fleet this is the **slowest** shape's probe time, so adaptive
-        timeouts and SLOs stay meetable no matter where a batch lands; a
-        homogeneous fleet reduces to the single probe it always ran.
-        """
-        return max(self.probe_service_for_shape(shape)
-                   for shape in self._shapes)
-
-    @property
-    def slo_s(self) -> float:
-        """The latency SLO: configured value, or a multiple of the probe service."""
-        if self.config.slo_s is not None:
-            return self.config.slo_s
-        return _SLO_SERVICE_MULTIPLE * self.probe_service_time_s
-
-    @property
-    def batch_timeout_s(self) -> float:
-        """Timeout-flush budget: configured, or a multiple of the probe service."""
-        if self.config.batch_timeout_s is not None:
-            return self.config.batch_timeout_s
-        return _TIMEOUT_SERVICE_MULTIPLE * self.probe_service_time_s
-
-    @property
-    def join_window_s(self) -> float:
-        """Continuous-batching join window: configured, or the batch timeout."""
-        if self.config.join_window_s is not None:
-            return self.config.join_window_s
-        return self.batch_timeout_s
-
-    @property
-    def staleness_s(self) -> float:
-        """Continuous-batching staleness budget: configured, or half the SLO."""
-        if self.config.staleness_s is not None:
-            return self.config.staleness_s
-        return 0.5 * self.slo_s
-
-    def _signature_fn(self):
-        """``request -> minhash signature`` bound to this fleet's sampler
-        (see :func:`repro.serving.batching.make_signature_fn`)."""
-        cfg = self.config
-        return make_signature_fn(self.sampler, cfg.num_hops, cfg.fanout,
-                                 overlap_k=cfg.overlap_k)
-
-    def _seed_scorer(self) -> None:
-        """Prime the shape scorer from the per-shape probe batches.
-
-        The probe batch has one well-defined profile bucket; each shape's
-        measured probe time over the probe's fused size seeds that bucket's
-        rate, so the first real batch of the common regime can already be
-        scored.  Other buckets stay cold until traffic warms them (the
-        dispatcher falls back to least-loaded there).  Idempotent: seeds
-        never clobber rates a previous run learned.
-        """
-        cfg = self.config
-        targets = probe_targets(self.graph.num_vertices, cfg.max_batch_size,
-                                cfg.seed)
-        fused, naive = self.sampler.fused_size(
-            (int(t), None, None) for t in targets)
-        bucket = BatchProfile(est_fused_vertices=fused,
-                              est_naive_vertices=naive,
-                              batch_size=len(targets),
-                              feature_length=self.graph.feature_length).bucket
-        for shape in self._shapes:
-            self.scorer.seed(shape, bucket,
-                             self.probe_service_for_shape(shape)
-                             / max(fused, 1))
-
-    # ------------------------------------------------------------------ #
-    # Service-time model
-    # ------------------------------------------------------------------ #
-    def batch_service_time_s(self, chip: Chip, batch: Batch,
-                             account: bool = True,
-                             now: float = 0.0) -> float:
-        """Simulated execution time of the fused subgraph batch on ``chip``
+    def _service_time_s(self, chip: Chip, lane: Lane, batch: Batch,
+                        now: float) -> float:
+        """Simulated execution time of ``lane``'s fused batch on ``chip``
         (see :func:`fused_batch_service_time_s`).
 
         On a sharded fleet (>1 shard) the batch executes across the whole
-        chip group instead (:meth:`ShardExecutor.service_time_s`); a
-        one-shard group takes this single-chip path verbatim, which is what
-        makes its report bit-for-bit identical to an unsharded run.
+        chip group instead (:meth:`ShardExecutor.service_time_s`, ``chip``
+        is the group leader); a one-shard group takes the single-chip path
+        verbatim, which keeps its report bit-for-bit identical to an
+        unsharded run.
         """
-        if self.shard_executor is not None \
-                and self.shard_executor.plan.num_shards > 1:
-            return self.shard_executor.service_time_s(
-                batch, reuse_discount=self.config.reuse_discount,
-                account=account, now=now)
+        executor = lane.shard_executor
+        if executor is not None and executor.plan.num_shards > 1:
+            return executor.service_time_s(
+                batch, reuse_discount=self.fleet.reuse_discount, now=now)
         return fused_batch_service_time_s(
-            chip, self.sampler, self.model, batch,
-            dataset_name=self.dataset_name,
-            reuse_discount=self.config.reuse_discount, account=account,
-            stream=self.stream, now=now)
+            chip, lane.sampler, lane.model, batch,
+            dataset_name=lane.dataset_name,
+            reuse_discount=self.fleet.reuse_discount,
+            cache_key=lane.cache_key, stream=lane.stream, now=now)
+
+
+class _EventLoop:
+    """One run of the discrete-event serving loop over a list of lanes.
+
+    The loop advances a simulated clock over seven event kinds: arrivals
+    (result-cache hits, admission/degradation, batch formation), batching
+    flush deadlines, chip completions, streaming updates, control ticks,
+    chip warm-ups and metrics scrapes.  Everything between batch formation
+    and the chips is the *dispatch stage*, which subclasses supply --
+    per-chip queues (:class:`_ChipQueueLoop`, single-tenant) or a
+    weighted-fair-queueing pull (``_WFQLoop`` in
+    :mod:`repro.serving.tenancy`) -- by implementing ``enqueue(lane,
+    batch, now)`` (a formed batch enters the stage), ``after_completion(
+    chip, now)``, ``drain_victim(actives)`` (which chip a homogeneous
+    scale-in drains), ``control_bindings()`` (per-lane bindings and the
+    per-chip capacity for the control plane) and ``stage_gauges()``
+    (queue and in-flight gauges), and optionally :meth:`pump` and
+    :meth:`on_join`.
+    """
+
+    def __init__(self, sim: FleetSimulator, requests: Sequence[Request],
+                 hetero_stats: Optional[HeteroStats]):
+        self.sim = sim
+        self.lanes = sim.lanes
+        self.by_name = {lane.name: lane for lane in self.lanes}
+        self.chips = sim.chips
+        self.observe = sim.observe
+        self.hetero_stats = hetero_stats
+        # shape-aware dispatch counts demand when it picks a chip
+        self.note_demand = sim.fleet.dispatch != "shape-aware"
+        self.records: List[RequestRecord] = []
+        self.events: List[Tuple[float, int, int, object]] = []
+        self.seq = 0
+        self.queued_s: Dict[Tuple[str, int], float] = {}   # batch -> enqueued
+        self.started_s: Dict[Tuple[str, int], float] = {}  # batch -> started
+        self.running: Dict[int, Tuple[Lane, Batch]] = {}   # chip id -> batch
+        # time-weighted in-flight integral for the avg queue-pressure metric
+        self.in_flight = 0
+        self.t0 = requests[0].arrival_time_s if requests else 0.0
+        self.last_t = self.t0
+        self.in_flight_area = 0.0
+        # control plane (elastic runs only)
+        self.control: Optional[ControlPlane] = None
+        self.scaler: Optional[FleetScaler] = None
+        self.backlog_cost_s = 0.0
+        self.request_cost_s: Dict[int, float] = {}
+        self.arrivals_interval = self.completions_interval = 0
+        self.violations_interval = self.shed_interval = 0
+        self.busy_snapshot_s = 0.0
+        # fleet-wide per-request cost EWMA for the sizing policies
+        self.fleet_cost_per_request_s = float(np.mean(
+            [lane.cost_per_request_s for lane in self.lanes]))
+        self.metrics_interval_s = 0.0
+
+    def pump(self, now: float) -> None:
+        """Start queued batches on free chips (stages that pull)."""
+
+    def on_join(self, lane: Lane, batch: Batch) -> None:
+        """A request late-joined ``batch`` while it waited for a chip."""
+
+    # ------------------------------------------------------------------ #
+    # Shared machinery
+    # ------------------------------------------------------------------ #
+    def push(self, time_s: float, kind: int, payload=None) -> None:
+        heapq.heappush(self.events, (time_s, self.seq, kind, payload))
+        self.seq += 1
+
+    def demanding(self) -> bool:
+        """True while requests are still to arrive or in flight."""
+        return self.in_flight > 0 or any(lane.arrivals_left > 0
+                                         for lane in self.lanes)
+
+    def schedule_flush(self, lane: Lane, now: float) -> None:
+        deadline = lane.batcher.next_deadline(now)
+        if deadline is not None and deadline != lane.scheduled_flush:
+            self.push(max(deadline, now), _FLUSH, lane)
+            lane.scheduled_flush = deadline
+
+    def begin_service(self, chip: Chip, lane: Lane, batch: Batch,
+                      now: float) -> float:
+        """Serve a sealed ``batch`` on ``chip``; returns its service time."""
+        chip.current = batch
+        self.running[chip.chip_id] = (lane, batch)
+        self.started_s[(lane.name, batch.batch_id)] = now
+        if lane.stream is not None:
+            # differential consistency check at the moment of service:
+            # observation only, so it cannot change simulated timings
+            lane.stream.check_batch(batch, now)
+        service_s = self.sim._service_time_s(chip, lane, batch, now)
+        if self.hetero_stats is not None:
+            account_batch_service(
+                lane.shape_scorer, self.hetero_stats, batch, lane.profile_fn,
+                chip.shape, service_s,
+                {c.shape for c in self.chips if c.state == "active"},
+                note_demand=self.note_demand)
+        lane.observe_cost(batch, service_s)
+        lane.batching.observe_batch(batch)
+        lane.batcher.observe_service_time(service_s)
+        a = _COST_EWMA_ALPHA
+        self.fleet_cost_per_request_s = a * (service_s / batch.size) \
+            + (1 - a) * self.fleet_cost_per_request_s
+        chip.stats.busy_s += service_s
+        self.push(now + service_s, _COMPLETION, chip)
+        # the service observation may have tightened an SLO-aware
+        # deadline for requests already pending -- re-arm the timer
+        self.schedule_flush(lane, now)
+        return service_s
+
+    def complete(self, chip: Chip, now: float) -> None:
+        lane, batch = self.running.pop(chip.chip_id)
+        chip.current = None
+        chip.stats.batches_served += 1
+        chip.stats.requests_served += batch.size
+        queued = self.queued_s.pop((lane.name, batch.batch_id))
+        started = self.started_s.pop((lane.name, batch.batch_id))
+        slo_s = lane.slo_s
+        for request in batch.requests:
+            self.records.append(RequestRecord(
+                request_id=request.request_id,
+                target_vertex=request.target_vertex,
+                arrival_time_s=request.arrival_time_s,
+                # a late-joined request entered after the batch was
+                # enqueued: its batching wait ends at its own arrival
+                dispatch_time_s=max(queued, request.arrival_time_s),
+                service_start_s=started,
+                completion_time_s=now,
+                cache_hit=False,
+                chip_id=chip.chip_id,
+                batch_id=batch.batch_id,
+                tenant=lane.name,
+                degrade_level=request.degrade_level,
+            ))
+            # degraded answers are lower fidelity: keep them out of the
+            # result cache so later hits never silently inherit the loss
+            if request.degrade_level == 0:
+                lane.result_cache.put(request.target_vertex, now)
+                if lane.stream is not None:
+                    lane.stream.register_result(request.target_vertex, now)
+            self.in_flight -= 1
+            self.completions_interval += 1
+            if now - request.arrival_time_s > slo_s:
+                self.violations_interval += 1
+            self.backlog_cost_s -= self.request_cost_s.pop(
+                request.request_id, 0.0)
+        if self.observe is not None:
+            self.observe.on_batch_complete(now, chip, batch, queued, started,
+                                           tenant=lane.name)
+            self.observe.on_shard_batch_complete(now, batch, started)
+        self.after_completion(chip, now)
+
+    def arrive(self, request: Request, now: float) -> None:
+        lane = self.by_name[request.tenant]
+        lane.arrivals_left -= 1
+        self.arrivals_interval += 1
+        if self.sim.capture is not None:
+            self.sim.capture.record(request)
+        if lane.result_cache.get(request.target_vertex) is not None:
+            if lane.stream is not None:
+                lane.stream.on_result_hit(request.target_vertex, now)
+            done = now + self.sim.fleet.cache_hit_latency_s
+            self.records.append(RequestRecord(
+                request_id=request.request_id,
+                target_vertex=request.target_vertex,
+                arrival_time_s=request.arrival_time_s,
+                dispatch_time_s=done,
+                service_start_s=done,
+                completion_time_s=done,
+                cache_hit=True,
+                tenant=lane.name,
+            ))
+            if self.observe is not None:
+                self.observe.on_cache_hit(now, request, done, tenant=lane.name)
+        else:
+            admitted = True
+            control = self.control
+            if control is not None:
+                active = sum(1 for c in self.chips if c.schedulable)
+                decision = control.admit(
+                    lane.name, now, self.backlog_cost_s / max(1, active),
+                    lane.cost_per_request_s,
+                    overlap_ratio=lane.overlap_ewma if lane.overlap_aware
+                    else 0.0)
+                admitted = decision.admitted
+                if not admitted:
+                    self.shed_interval += 1
+                elif decision.level > 0:
+                    request = replace(request, degrade_level=decision.level,
+                                      degrade_hops=decision.num_hops,
+                                      degrade_fanout=decision.fanout)
+                if admitted:
+                    cost = lane.cost_per_request_s * decision.cost_scale
+                    self.request_cost_s[request.request_id] = cost
+                    self.backlog_cost_s += cost
+            if admitted:
+                self.in_flight += 1
+                # continuous batching: a formed batch still waiting for a
+                # chip may absorb the request outright (its completion will
+                # cover it); otherwise accumulate as usual
+                joined = lane.batcher.try_join(request, now)
+                if joined is not None:
+                    self.on_join(lane, joined)
+                else:
+                    batch = lane.batcher.add(request, now)
+                    if batch is not None:
+                        self.enqueue(lane, batch, now)
+                        self.pump(now)
+                    # re-arm in every case: formation policies can emit a
+                    # subset and leave a deadline pending
+                    self.schedule_flush(lane, now)
+        if lane.arrivals_left == 0 and lane.batcher.pending_count \
+                and lane.batcher.next_deadline(now) is None:
+            # end of this lane's stream under a pure size cap: drain the rest
+            for leftover in lane.batcher.drain(now):
+                self.enqueue(lane, leftover, now)
+            self.pump(now)
+
+    def control_tick(self, now: float) -> None:
+        control, scaler = self.control, self.scaler
+        active, warming, draining = scaler.counts()
+        busy_total_s = sum(c.stats.busy_s for c in self.chips)
+        interval_s = control.control_interval_s
+        utilization = (busy_total_s - self.busy_snapshot_s) \
+            / (interval_s * max(1, active))
+        obs = ControlObservation(
+            now_s=now,
+            interval_s=interval_s,
+            active_chips=active,
+            warming_chips=warming,
+            draining_chips=draining,
+            queue_depth=self.in_flight,
+            backlog_cost_s=self.backlog_cost_s,
+            arrivals=self.arrivals_interval,
+            completions=self.completions_interval,
+            violations=self.violations_interval,
+            shed=self.shed_interval,
+            utilization=min(1.0, utilization),
+            cost_per_request_s=self.fleet_cost_per_request_s,
+            # the tightest lane SLO anchors the fleet-level delay signal
+            slo_s=min(lane.slo_s for lane in self.lanes),
+        )
+        scaler.scale_to(control.tick(obs), now)
+        self.busy_snapshot_s = busy_total_s
+        self.arrivals_interval = self.completions_interval = 0
+        self.violations_interval = self.shed_interval = 0
+        if self.demanding():
+            self.push(now + interval_s, _CONTROL)
+
+    def metrics_snapshot(self, now: float) -> Dict:
+        gauges = self.stage_gauges()
+        stats = self.sim.sharding_stats
+        if stats is not None:
+            gauges["repro_halo_hit_rate"] = stats.halo_hit_rate
+            gauges["repro_halo_bytes_moved"] = stats.halo_bytes_moved
+            gauges["repro_shard_load_imbalance"] = stats.load_imbalance
+        elapsed = now - self.t0
+        if elapsed > 0:
+            for shape in self.sim._shapes:
+                members = [c for c in self.chips if c.shape == shape]
+                busy = sum(c.stats.busy_s for c in members)
+                gauges[("repro_busy_fraction", (("shape", shape),))] = \
+                    busy / (elapsed * len(members)) if members else 0.0
+        return gauges
+
+    def _arm_control(self) -> None:
+        sim = self.sim
+        control = self.control = sim.control = ControlPlane(sim.control_config)
+        if self.observe is not None:
+            control.instrumentation = self.observe
+        bindings, capacity_per_chip_rps = self.control_bindings()
+        control.bind(bindings, initial_chips=len(self.chips),
+                     probe_service_s=min(lane.probe_service_s
+                                         for lane in self.lanes),
+                     capacity_per_chip_rps=capacity_per_chip_rps)
+        self.push(self.t0 + control.control_interval_s, _CONTROL)
+        chooser: Optional[ShapeChooser] = None
+        if len(sim._shapes) > 1:
+            chooser = ShapeChooser(
+                sim.control_config.scale_shape, sim._shapes,
+                scorers=[lane.shape_scorer for lane in self.lanes
+                         if lane.shape_scorer is not None])
+        self.scaler = FleetScaler(
+            self.chips, control, sim._new_chip,
+            lambda chip: self.push(chip.ready_s, _CHIP_READY, chip),
+            # heterogeneous scale-downs drain the shape the demand needs
+            # least; homogeneous ones follow the dispatch stage
+            chooser.retire_victim if chooser is not None
+            else self.drain_victim,
+            shape_chooser=chooser)
+
+    # ------------------------------------------------------------------ #
+    # The loop
+    # ------------------------------------------------------------------ #
+    def run(self, requests: Sequence[Request]) -> None:
+        sim, observe = self.sim, self.observe
+        for lane in self.lanes:
+            lane.arrivals_left = 0
+            if observe is not None:
+                lane.batcher.instrumentation = observe
+        for request in requests:
+            if request.tenant not in self.by_name:
+                raise ValueError(f"request tagged with unknown tenant "
+                                 f"{request.tenant!r}")
+            self.by_name[request.tenant].arrivals_left += 1
+        for request in requests:
+            self.push(request.arrival_time_s, _ARRIVAL, request)
+        if sim.updates is not None:
+            # updates enter the same heap; requests pushed first, so a
+            # request at the identical timestamp wins the tie (a query
+            # races an update: the query is served, then the graph moves)
+            for event in sim.updates.events:
+                if event.tenant not in self.by_name:
+                    raise ValueError(f"update tagged with unknown tenant "
+                                     f"{event.tenant!r}")
+                self.push(event.arrival_time_s, _UPDATE, event)
+        for chip in self.chips:
+            chip.added_s = self.t0
+            chip.ready_s = self.t0
+        if sim.control_config is not None and requests:
+            self._arm_control()
+        wants_metrics = observe is not None and observe.wants_metrics \
+            and bool(requests)
+        if wants_metrics:
+            from .observe import METRICS_PROBE_MULTIPLE
+            self.metrics_interval_s = observe.metrics_interval_s \
+                if observe.metrics_interval_s is not None \
+                else METRICS_PROBE_MULTIPLE * min(lane.probe_service_s
+                                                  for lane in self.lanes)
+            self.push(self.t0 + self.metrics_interval_s, _METRICS)
+
+        events = self.events
+        while events:
+            now, _, kind, payload = heapq.heappop(events)
+            if kind == _METRICS:
+                # handled before the in-flight integral update so the
+                # float accounting (and hence the report) stays bit-for-bit
+                # identical to an uninstrumented run
+                observe.scrape(now, self.metrics_snapshot(now))
+                if self.demanding():
+                    self.push(now + self.metrics_interval_s, _METRICS)
+                continue
+            self.in_flight_area += self.in_flight * (now - self.last_t)
+            self.last_t = now
+            if kind == _ARRIVAL:
+                self.arrive(payload, now)
+            elif kind == _FLUSH:
+                lane = payload
+                lane.scheduled_flush = None
+                batch = lane.batcher.flush_due(now)
+                if batch is not None:
+                    self.enqueue(lane, batch, now)
+                    self.pump(now)
+                self.schedule_flush(lane, now)
+            elif kind == _COMPLETION:
+                self.complete(payload, now)
+            elif kind == _UPDATE:
+                # recorded before application, mirroring request capture at
+                # arrival, so a captured trace replays the offered stream
+                if sim.capture is not None:
+                    sim.capture.record_update(payload)
+                self.by_name[payload.tenant].stream.apply(now, payload)
+            elif kind == _CONTROL:
+                self.control_tick(now)
+            else:  # _CHIP_READY
+                if self.scaler.mark_ready(payload, now):
+                    self.pump(now)
+
+        if wants_metrics:
+            # closing scrape (outside the loop, so it cannot perturb the
+            # integral): even a run shorter than the interval gets >= 1 row
+            observe.scrape(self.last_t, self.metrics_snapshot(self.last_t))
+        span = self.last_t - self.t0
+        self.avg_in_flight = self.in_flight_area / span if span > 0 else 0.0
+        self._close_books()
+
+    def _close_books(self) -> None:
+        """Fold the finished run into the fleet-wide stats objects."""
+        if self.hetero_stats is not None:
+            counts = self.hetero_stats.shape_counts
+            for chip in self.chips:
+                counts[chip.shape] = counts.get(chip.shape, 0) + 1
+        latencies = [r.latency_s for r in self.records]
+        stats = self.sim.sharding_stats
+        if stats is not None:
+            stats.p50_s = percentile(latencies, 50)
+            stats.p95_s = percentile(latencies, 95)
+            stats.p99_s = percentile(latencies, 99)
+        if self.sim.consistency is not None:
+            for lane in self.lanes:
+                lane.stream.finalize()
+            self.sim.consistency.p99_s = percentile(latencies, 99)
+
+
+class _ChipQueueLoop(_EventLoop):
+    """Single-tenant dispatch stage: a formed batch is routed to one chip by
+    the fleet's dispatch policy (:func:`_build_dispatch`) and waits in that
+    chip's private FIFO queue; a chip that finishes starts its next queued
+    batch before it may retire."""
+
+    def __init__(self, sim: "ServingSimulator", requests: Sequence[Request],
+                 hetero_stats: Optional[HeteroStats]):
+        super().__init__(sim, requests, hetero_stats)
+        self.lane = self.lanes[0]
+        self.dispatch = sim._dispatch
+        self.max_queue_depth = 0
+
+    def _track_depth(self, depth: int) -> None:
+        self.max_queue_depth = max(self.max_queue_depth, depth)
+
+    def enqueue(self, lane: Lane, batch: Batch, now: float) -> None:
+        chip = self.dispatch.select(
+            [c for c in self.chips if c.schedulable], batch)
+        chip.queue.append((batch, now))
+        self.queued_s[(lane.name, batch.batch_id)] = now
+        self._track_depth(sum(b.size for b, _ in chip.queue))
+        if not chip.busy:
+            self._start_next(chip, now)
+
+    def _start_next(self, chip: Chip, now: float) -> None:
+        batch, _ = chip.queue.popleft()
+        # seal before costing: a batch being served can take no joins,
+        # and the service time must cover its final membership
+        self.lane.batcher.on_service_start(batch)
+        self.begin_service(chip, self.lane, batch, now)
+
+    def on_join(self, lane: Lane, batch: Batch) -> None:
+        # the join deepened some chip's queue in place
+        self._track_depth(max((sum(b.size for b, _ in c.queue)
+                               for c in self.chips), default=0))
+
+    def after_completion(self, chip: Chip, now: float) -> None:
+        if chip.queue:
+            self._start_next(chip, now)
+        elif chip.state == "draining":
+            self.scaler.retire(chip, now)
+
+    def drain_victim(self, actives: List[Chip]) -> Chip:
+        # the emptiest queue, so the least work gets stranded
+        return min(actives, key=lambda c: (c.outstanding_requests, -c.chip_id))
+
+    def control_bindings(self) -> Tuple[List[TenantBinding], float]:
+        lane = self.lane
+        return ([TenantBinding(name=lane.name, slo_s=lane.slo_s,
+                               num_hops=lane.sampler.num_hops,
+                               fanout=lane.sampler.fanout)],
+                lane.probe_batch_size / max(lane.probe_service_s, 1e-12))
+
+    def stage_gauges(self) -> Dict:
+        return {
+            "repro_queue_depth": self.lane.batcher.pending_count,
+            "repro_in_flight_requests": self.in_flight,
+            "repro_in_flight_batches": sum(
+                len(c.queue) + (1 if c.busy else 0) for c in self.chips),
+            "repro_overlap_ratio_ewma": self.lane.overlap_ewma,
+        }
+
+
+class ServingSimulator(FleetSimulator):
+    """Discrete-event simulation of online inference over a chip fleet.
+
+    One lane (``""``) feeds the shared :class:`_EventLoop` through per-chip
+    queues.  ``updates`` (:class:`repro.serving.streaming.UpdateStream`)
+    arms live graph mutation: the graph is wrapped in a
+    :class:`~repro.graphs.delta.DeltaGraph` and the stream's events are
+    interleaved with query traffic.
+    """
+
+    def __init__(self, graph: Graph, model, config: Optional[FleetConfig] = None,
+                 dataset_name: Optional[str] = None,
+                 control: Optional[ControlConfig] = None,
+                 observe=None, capture=None, updates=None):
+        cfg = config or FleetConfig()
+        if updates is not None and not isinstance(graph, DeltaGraph):
+            graph = DeltaGraph(graph, compact_every=updates.compact_every)
+        self.graph = graph
+        self.model = model
+        self.dataset_name = dataset_name or graph.name
+        self.sampler = SubgraphSampler(graph, num_hops=cfg.num_hops,
+                                       fanout=cfg.fanout, seed=cfg.seed)
+        self._lane = Lane("", graph, model, self.sampler, self.dataset_name,
+                          cfg, seed=cfg.seed,
+                          max_batch_size=cfg.max_batch_size,
+                          batch_policy=cfg.batch_policy,
+                          cache_size=cfg.cache_size, slo_s=cfg.slo_s,
+                          batch_timeout_s=cfg.batch_timeout_s)
+        super().__init__(cfg, [self._lane], control, observe, capture, updates)
+        self.result_cache = self._lane.result_cache
+        #: The per-(shape, bucket) service-rate model (None when untracked);
+        #: seeded from the per-shape probe batches at the start of each run.
+        self.scorer: Optional[ShapeScorer] = self._lane.shape_scorer
+        self._dispatch = _build_dispatch(cfg.dispatch, graph.num_vertices,
+                                         len(self.chips), scorer=self.scorer,
+                                         profile_fn=self._lane.profile_fn)
+        #: The batcher of the most recent :meth:`run` (None before a run);
+        #: tests replay ``ContinuousBatcher.join_log`` through it to prove
+        #: the late-join budgets held.
+        self.batcher = None
+
+    @property
+    def config(self) -> FleetConfig:
+        return self.fleet
+
+    # ------------------------------------------------------------------ #
+    # Adaptive time scales (the lane's, see Lane)
+    # ------------------------------------------------------------------ #
+    @property
+    def probe_service_time_s(self) -> float:
+        """The probe batch's service time on the slowest chip shape."""
+        return self._lane.probe_service_s
+
+    @property
+    def slo_s(self) -> float:
+        return self._lane.slo_s
+
+    @property
+    def join_window_s(self) -> float:
+        return self._lane.join_window_s
+
+    @property
+    def staleness_s(self) -> float:
+        return self._lane.staleness_s
 
     def calibrate_rate(self, utilization_target: float = 0.7) -> float:
         """Arrival rate that loads the fleet to ``utilization_target``.
@@ -1036,11 +1625,10 @@ class ServingSimulator:
         """
         if not 0 < utilization_target:
             raise ValueError("utilization_target must be positive")
-        cfg = self.config
-        batch_size = min(cfg.max_batch_size, self.graph.num_vertices)
         capacity_rps = sum(
-            batch_size / max(self.probe_service_for_shape(shape), 1e-12)
-            for shape, _ in cfg.chip_roster())
+            self._lane.probe_batch_size
+            / max(self._lane.probe_for_shape(shape), 1e-12)
+            for shape, _ in self.fleet.chip_roster())
         return utilization_target * capacity_rps
 
     # ------------------------------------------------------------------ #
@@ -1049,7 +1637,8 @@ class ServingSimulator:
     def run(self, requests: Sequence[Request],
             rate_rps: float = 0.0) -> ServingReport:
         """Serve ``requests`` (sorted by arrival) and return the report."""
-        cfg = self.config
+        cfg = self.fleet
+        lane = self._lane
         report = ServingReport(
             model_name=getattr(self.model, "name", self.model.__class__.__name__),
             dataset_name=self.dataset_name,
@@ -1063,411 +1652,38 @@ class ServingSimulator:
             report.chips = [chip.stats for chip in self.chips]
             return report
 
-        batcher = build_batch_policy(
-            cfg.batch_policy, max_batch_size=cfg.max_batch_size,
-            timeout_s=self.batch_timeout_s, slo_s=self.slo_s,
-            signature_fn=self._signature_fn()
-            if cfg.batch_policy in ("overlap", "continuous") else None,
-            min_overlap=cfg.min_overlap, pool_factor=cfg.pool_factor,
-            join_window_s=self.join_window_s, staleness_s=self.staleness_s)
-        self.batcher = batcher
-        observe = self.observe
-        if observe is not None:
-            batcher.instrumentation = observe
-        batching_stats = BatchingStats(policy=cfg.batch_policy)
-        overlap_aware = cfg.batch_policy in ("overlap", "continuous")
-        overlap_ewma = 0.0
+        # every run starts from a fresh batcher and cost estimates
+        lane.reset()
+        self.batcher = lane.batcher
         hetero_stats: Optional[HeteroStats] = None
         if self._track_shapes:
-            self._seed_scorer()
+            lane.seed_scorer(*lane.probe_fused_size())
             hetero_stats = HeteroStats(dispatch_policy=cfg.dispatch)
             if isinstance(self._dispatch, _ShapeAwareDispatch):
                 # counters are per run; the scorer's learned rates persist
                 self._dispatch.scored = self._dispatch.fallback = 0
-        events: List[Tuple[float, int, int, object]] = []
-        seq = 0
-        for request in requests:
-            heapq.heappush(events, (request.arrival_time_s, seq, _ARRIVAL, request))
-            seq += 1
-        if self.stream is not None:
-            for event in self.updates.events:
-                heapq.heappush(events, (event.arrival_time_s, seq,
-                                        _UPDATE, event))
-                seq += 1
-        arrivals_left = len(requests)
-        dispatch_meta: Dict[int, float] = {}      # batch_id -> dispatch time
-        start_meta: Dict[int, float] = {}         # batch_id -> service start time
-        scheduled_flush: Optional[float] = None
+        loop = _ChipQueueLoop(self, requests, hetero_stats)
+        loop.run(requests)
 
-        # time-weighted in-flight integral for the avg queue-pressure metric
-        in_flight = 0
-        t0 = requests[0].arrival_time_s
-        last_t = t0
-        in_flight_area = 0.0
-
-        # ---------------- control plane (elastic runs only) --------------- #
-        control: Optional[ControlPlane] = None
-        scaler: Optional[FleetScaler] = None
-        probe_batch = min(cfg.max_batch_size, self.graph.num_vertices)
-        cost_per_request_s = self.probe_service_time_s / probe_batch
-        backlog_cost_s = 0.0
-        request_cost_s: Dict[int, float] = {}
-        arrivals_interval = completions_interval = 0
-        violations_interval = shed_interval = 0
-        busy_snapshot_s = 0.0
-        for chip in self.chips:
-            chip.added_s = t0
-            chip.ready_s = t0
-        if self.control_config is not None:
-            control = ControlPlane(self.control_config)
-            control.bind(
-                [TenantBinding(name="", slo_s=self.slo_s, num_hops=cfg.num_hops,
-                               fanout=cfg.fanout)],
-                initial_chips=len(self.chips),
-                probe_service_s=self.probe_service_time_s,
-                capacity_per_chip_rps=probe_batch
-                / max(self.probe_service_time_s, 1e-12))
-            self.control = control
-            if observe is not None:
-                control.instrumentation = observe
-            heapq.heappush(events, (t0 + control.control_interval_s, seq,
-                                    _CONTROL, None))
-            seq += 1
-
-            def new_chip(shape: Optional[str] = None) -> Chip:
-                if shape is None:
-                    shape, hw = cfg.base_shape, cfg.hw
-                else:
-                    hw = self._shapes[shape]
-                chip = Chip(self._next_chip_id, hw,
-                            cfg.feature_cache_size, shape=shape)
-                self._next_chip_id += 1
-                return chip
-
-            def schedule_ready(chip: Chip) -> None:
-                nonlocal seq
-                heapq.heappush(events, (chip.ready_s, seq, _CHIP_READY, chip))
-                seq += 1
-
-            chooser: Optional[ShapeChooser] = None
-            if len(self._shapes) > 1:
-                chooser = ShapeChooser(
-                    self.control_config.scale_shape, self._shapes,
-                    scorers=[self.scorer] if self.scorer is not None else [])
-            scaler = FleetScaler(
-                self.chips, control, new_chip, schedule_ready,
-                # drain the shape the demand needs least (heterogeneous),
-                # else the emptiest queue so the least work gets stranded
-                drain_victim=chooser.retire_victim if chooser is not None
-                else lambda actives: min(
-                    actives,
-                    key=lambda c: (c.outstanding_requests, -c.chip_id)),
-                shape_chooser=chooser)
-
-        # ---------------- metrics scraping (instrumented runs) ------------ #
-        metrics_interval_s = 0.0
-        if observe is not None and observe.wants_metrics:
-            from .observe import METRICS_PROBE_MULTIPLE
-            metrics_interval_s = observe.metrics_interval_s \
-                if observe.metrics_interval_s is not None \
-                else METRICS_PROBE_MULTIPLE * self.probe_service_time_s
-            heapq.heappush(events, (t0 + metrics_interval_s, seq,
-                                    _METRICS, None))
-            seq += 1
-
-        def metrics_snapshot(now: float) -> Dict:
-            gauges: Dict = {
-                "repro_queue_depth": batcher.pending_count,
-                "repro_in_flight_requests": in_flight,
-                "repro_in_flight_batches": sum(
-                    len(c.queue) + (1 if c.busy else 0)
-                    for c in self.chips),
-                "repro_overlap_ratio_ewma": overlap_ewma,
-            }
-            if self.shard_executor is not None:
-                shard_stats = self.shard_executor.stats
-                gauges["repro_halo_hit_rate"] = shard_stats.halo_hit_rate
-                gauges["repro_halo_bytes_moved"] = shard_stats.halo_bytes_moved
-                gauges["repro_shard_load_imbalance"] = \
-                    shard_stats.load_imbalance
-            elapsed = now - t0
-            if elapsed > 0:
-                for shape in self._shapes:
-                    members = [c for c in self.chips if c.shape == shape]
-                    busy = sum(c.stats.busy_s for c in members)
-                    gauges[("repro_busy_fraction", (("shape", shape),))] = \
-                        busy / (elapsed * len(members)) if members else 0.0
-            return gauges
-
-        def schedulable_chips() -> List[Chip]:
-            return [chip for chip in self.chips if chip.schedulable]
-
-        def schedule_flush(now: float) -> None:
-            nonlocal scheduled_flush, seq
-            deadline = batcher.next_deadline(now)
-            if deadline is not None and deadline != scheduled_flush:
-                heapq.heappush(events, (max(deadline, now), seq, _FLUSH, None))
-                seq += 1
-                scheduled_flush = deadline
-
-        def dispatch(batch: Batch, now: float) -> None:
-            nonlocal seq
-            chip = self._dispatch.select(schedulable_chips(), batch)
-            chip.queue.append((batch, now))
-            dispatch_meta[batch.batch_id] = now
-            depth = sum(b.size for b, _ in chip.queue)
-            report.max_queue_depth = max(report.max_queue_depth, depth)
-            if not chip.busy:
-                start_service(chip, now)
-
-        def start_service(chip: Chip, now: float) -> None:
-            nonlocal seq, cost_per_request_s, overlap_ewma
-            batch, _ = chip.queue.popleft()
-            # seal before costing: a batch being served can take no joins,
-            # and the service time must cover its final membership
-            batcher.on_service_start(batch)
-            chip.current = batch
-            start_meta[batch.batch_id] = now
-            if self.stream is not None:
-                # differential consistency check at the moment of service:
-                # observation only, so it cannot change simulated timings
-                self.stream.check_batch(batch, now)
-            service_s = self.batch_service_time_s(chip, batch, now=now)
-            if hetero_stats is not None:
-                account_batch_service(
-                    self.scorer, hetero_stats, batch, self._profile_fn,
-                    chip.shape, service_s,
-                    {c.shape for c in self.chips if c.state == "active"},
-                    # shape-aware dispatch already counted demand at
-                    # selection time; oblivious dispatch counts it here
-                    note_demand=not isinstance(self._dispatch,
-                                               _ShapeAwareDispatch))
-            batcher.observe_service_time(service_s)
-            batching_stats.observe_batch(batch)
-            overlap_ewma = _COST_EWMA_ALPHA * batch.overlap_ratio \
-                + (1 - _COST_EWMA_ALPHA) * overlap_ewma
-            observed = service_s / batch.size
-            cost_per_request_s = _COST_EWMA_ALPHA * observed \
-                + (1 - _COST_EWMA_ALPHA) * cost_per_request_s
-            chip.stats.busy_s += service_s
-            heapq.heappush(events, (now + service_s, seq, _COMPLETION, chip))
-            seq += 1
-            # the service observation may have tightened an SLO-aware
-            # deadline for requests already pending -- re-arm the timer
-            schedule_flush(now)
-
-        def complete(chip: Chip, now: float) -> None:
-            nonlocal in_flight, backlog_cost_s
-            nonlocal completions_interval, violations_interval
-            batch = chip.current
-            chip.current = None
-            chip.stats.batches_served += 1
-            chip.stats.requests_served += batch.size
-            dispatched = dispatch_meta.pop(batch.batch_id)
-            started = start_meta.pop(batch.batch_id)
-            for request in batch.requests:
-                report.records.append(RequestRecord(
-                    request_id=request.request_id,
-                    target_vertex=request.target_vertex,
-                    arrival_time_s=request.arrival_time_s,
-                    # a late-joined request entered after the batch was
-                    # dispatched: its batching wait ends at its own arrival
-                    dispatch_time_s=max(dispatched, request.arrival_time_s),
-                    service_start_s=started,
-                    completion_time_s=now,
-                    cache_hit=False,
-                    chip_id=chip.chip_id,
-                    batch_id=batch.batch_id,
-                    degrade_level=request.degrade_level,
-                ))
-                # degraded answers are lower fidelity: keep them out of the
-                # result cache so later hits never silently inherit the loss
-                if request.degrade_level == 0:
-                    self.result_cache.put(request.target_vertex, now)
-                    if self.stream is not None:
-                        self.stream.register_result(request.target_vertex,
-                                                    now)
-                in_flight -= 1
-                completions_interval += 1
-                if now - request.arrival_time_s > self.slo_s:
-                    violations_interval += 1
-                backlog_cost_s -= request_cost_s.pop(request.request_id, 0.0)
-            if observe is not None:
-                observe.on_batch_complete(now, chip, batch, dispatched,
-                                          started)
-                observe.on_shard_batch_complete(now, batch, started)
-            if chip.queue:
-                start_service(chip, now)
-            elif chip.state == "draining":
-                scaler.retire(chip, now)
-
-        def control_tick(now: float) -> None:
-            nonlocal seq, busy_snapshot_s
-            nonlocal arrivals_interval, completions_interval
-            nonlocal violations_interval, shed_interval
-            active, warming, draining = scaler.counts()
-            busy_total_s = sum(c.stats.busy_s for c in self.chips)
-            interval_s = control.control_interval_s
-            utilization = (busy_total_s - busy_snapshot_s) \
-                / (interval_s * max(1, active))
-            obs = ControlObservation(
-                now_s=now,
-                interval_s=interval_s,
-                active_chips=active,
-                warming_chips=warming,
-                draining_chips=draining,
-                queue_depth=in_flight,
-                backlog_cost_s=backlog_cost_s,
-                arrivals=arrivals_interval,
-                completions=completions_interval,
-                violations=violations_interval,
-                shed=shed_interval,
-                utilization=min(1.0, utilization),
-                cost_per_request_s=cost_per_request_s,
-                slo_s=self.slo_s,
-            )
-            target = control.tick(obs)
-            scaler.scale_to(target, now)
-            busy_snapshot_s = busy_total_s
-            arrivals_interval = completions_interval = 0
-            violations_interval = shed_interval = 0
-            if arrivals_left > 0 or in_flight > 0:
-                heapq.heappush(events, (now + interval_s, seq, _CONTROL, None))
-                seq += 1
-
-        while events:
-            now, _, kind, payload = heapq.heappop(events)
-            if kind == _METRICS:
-                # handled before the in-flight integral update so the
-                # float accounting (and hence the report) stays bit-for-bit
-                # identical to an uninstrumented run
-                observe.scrape(now, metrics_snapshot(now))
-                if arrivals_left > 0 or in_flight > 0:
-                    heapq.heappush(events, (now + metrics_interval_s, seq,
-                                            _METRICS, None))
-                    seq += 1
-                continue
-            in_flight_area += in_flight * (now - last_t)
-            last_t = now
-            if kind == _ARRIVAL:
-                arrivals_left -= 1
-                arrivals_interval += 1
-                request: Request = payload
-                if self.capture is not None:
-                    self.capture.record(request)
-                if self.result_cache.get(request.target_vertex) is not None:
-                    if self.stream is not None:
-                        self.stream.on_result_hit(request.target_vertex, now)
-                    done = now + cfg.cache_hit_latency_s
-                    report.records.append(RequestRecord(
-                        request_id=request.request_id,
-                        target_vertex=request.target_vertex,
-                        arrival_time_s=request.arrival_time_s,
-                        dispatch_time_s=done,
-                        service_start_s=done,
-                        completion_time_s=done,
-                        cache_hit=True,
-                    ))
-                    if observe is not None:
-                        observe.on_cache_hit(now, request, done)
-                else:
-                    admitted = True
-                    if control is not None:
-                        est_delay_s = backlog_cost_s \
-                            / max(1, len(schedulable_chips()))
-                        decision = control.admit(
-                            "", now, est_delay_s, cost_per_request_s,
-                            overlap_ratio=overlap_ewma if overlap_aware
-                            else 0.0)
-                        admitted = decision.admitted
-                        if not admitted:
-                            shed_interval += 1
-                        elif decision.level > 0:
-                            request = replace(
-                                request,
-                                degrade_level=decision.level,
-                                degrade_hops=decision.num_hops,
-                                degrade_fanout=decision.fanout)
-                        if admitted:
-                            cost = cost_per_request_s * decision.cost_scale
-                            request_cost_s[request.request_id] = cost
-                            backlog_cost_s += cost
-                    if admitted:
-                        in_flight += 1
-                        # continuous batching: a formed-but-unstarted batch
-                        # may absorb the request outright (its completion
-                        # will cover it); otherwise accumulate as usual
-                        joined = batcher.try_join(request, now)
-                        if joined is not None:
-                            # the join deepened some chip's queue in place
-                            depth = max((sum(b.size for b, _ in c.queue)
-                                         for c in self.chips), default=0)
-                            report.max_queue_depth = max(
-                                report.max_queue_depth, depth)
-                        else:
-                            batch = batcher.add(request, now)
-                            if batch is not None:
-                                dispatch(batch, now)
-                            # re-arm in every case: formation policies can
-                            # emit a subset and leave a deadline pending
-                            schedule_flush(now)
-                if arrivals_left == 0 and batcher.pending_count \
-                        and batcher.next_deadline(now) is None:
-                    # end of stream under a pure size cap: drain the remainder
-                    for leftover in batcher.drain(now):
-                        dispatch(leftover, now)
-            elif kind == _FLUSH:
-                scheduled_flush = None
-                batch = batcher.flush_due(now)
-                if batch is not None:
-                    dispatch(batch, now)
-                schedule_flush(now)
-            elif kind == _COMPLETION:
-                complete(payload, now)
-            elif kind == _UPDATE:
-                # recorded before application, mirroring request capture at
-                # arrival, so a captured trace replays the offered stream
-                if self.capture is not None:
-                    self.capture.record_update(payload)
-                self.stream.apply(now, payload)
-            elif kind == _CONTROL:
-                control_tick(now)
-            else:  # _CHIP_READY
-                scaler.mark_ready(payload, now)
-
-        if observe is not None and observe.wants_metrics:
-            # closing scrape (outside the loop, so it cannot perturb the
-            # integral): even a run shorter than the interval gets >= 1 row
-            observe.scrape(last_t, metrics_snapshot(last_t))
-        span = last_t - t0
-        report.avg_in_flight = in_flight_area / span if span > 0 else 0.0
+        report.records = loop.records
+        report.max_queue_depth = loop.max_queue_depth
+        report.avg_in_flight = loop.avg_in_flight
         logger.info("served %d requests on %d chips in %.6f s simulated",
-                    len(requests), len(self.chips), span)
+                    len(requests), len(self.chips), loop.last_t - loop.t0)
         report.chips = [chip.stats for chip in self.chips]
-        report.cache = self.result_cache.stats
-        batching_stats.late_join_rejects = batcher.late_join_rejects
-        report.batching = batching_stats
+        report.cache = lane.result_cache.stats
+        lane.batching.late_join_rejects = lane.batcher.late_join_rejects
+        report.batching = lane.batching
         if hetero_stats is not None:
-            for chip in self.chips:
-                hetero_stats.shape_counts[chip.shape] = \
-                    hetero_stats.shape_counts.get(chip.shape, 0) + 1
             if isinstance(self._dispatch, _ShapeAwareDispatch):
                 hetero_stats.scored_batches = self._dispatch.scored
                 hetero_stats.fallback_batches = self._dispatch.fallback
             hetero_stats.rates = self.scorer.snapshot()
             report.hetero = hetero_stats
-        if self.shard_executor is not None:
-            shard_stats = self.shard_executor.stats
-            shard_stats.p50_s = report.p50_latency_s
-            shard_stats.p95_s = report.p95_latency_s
-            shard_stats.p99_s = report.p99_latency_s
-            report.sharding = shard_stats
-        if control is not None:
-            report.control = control.finalize(last_t, self.chips)
-        if self.stream is not None:
-            self.stream.finalize()
-            self.consistency.p99_s = report.p99_latency_s
-            report.consistency = self.consistency
+        report.sharding = self.sharding_stats
+        if loop.control is not None:
+            report.control = loop.control.finalize(loop.last_t, self.chips)
+        report.consistency = self.consistency
         return report
 
 
@@ -1518,27 +1734,14 @@ def run_serving(
     the replayed report is bit-for-bit identical to the captured run's.
     """
     config = config or FleetConfig()
-    if not (math.isfinite(update_rate) and update_rate >= 0):
-        raise ValueError(f"update_rate must be >= 0 and finite, got {update_rate}")
+    fill_update_events = updates is None
+    if fill_update_events:
+        updates = open_update_stream(
+            update_rate, [replay.num_requests if replay is not None
+                          else num_requests],
+            replay, invalidation, staleness_budget)
     graph = load_dataset(dataset, seed=seed)
     model = build_model(model_name, input_length=graph.feature_length)
-    # streaming updates: the stream object must exist before the simulator
-    # (it wraps the graph and rebinds the caches), but its events need the
-    # resolved arrival rate -- so they are filled in below, after
-    # calibration / replay resolution, and read at run() time
-    fill_update_events = False
-    if updates is None:
-        replayed_updates = replay is not None and replay.num_updates > 0
-        if update_rate > 0 or replayed_updates:
-            if replayed_updates:
-                # the capturing run's policy is part of what made its
-                # report; replay it bit-for-bit unless it never stamped one
-                invalidation = replay.meta.get("invalidation", invalidation)
-                staleness_budget = int(replay.meta.get(
-                    "staleness_budget", staleness_budget))
-            updates = UpdateStream(events=(), policy=invalidation,
-                                   staleness_budget_versions=staleness_budget)
-            fill_update_events = True
     simulator = ServingSimulator(graph, model, config, dataset_name=dataset,
                                  control=control, observe=observe,
                                  capture=capture, updates=updates)
@@ -1567,7 +1770,7 @@ def run_serving(
                 else float(max(1, times.size))
     elif rate_rps is None:
         rate_rps = simulator.calibrate_rate(utilization_target)
-    if fill_update_events:
+    if fill_update_events and updates is not None:
         if replay is not None and replay.num_updates > 0:
             updates.events = replay.to_update_events()
         else:
@@ -1587,23 +1790,15 @@ def run_serving(
             "num_chips": config.num_chips,
             "slo_s": simulator.slo_s,
         })
-        if updates is not None:
-            capture.meta.update({
-                "update_rate": update_rate,
-                "invalidation": updates.policy,
-                "staleness_budget": updates.staleness_budget_versions,
-            })
-            if update_mix:
-                capture.meta["update_mix"] = update_mix
         if replay is not None:
             # re-capturing a replay keeps the original workload's
             # provenance (the offered process, not the replay mechanism),
             # so the new trace file is byte-identical to the one replayed
-            for key in ("arrival", "popularity_skew", "seed",
-                        "update_rate", "update_mix", "invalidation",
-                        "staleness_budget"):
+            for key in ("arrival", "popularity_skew", "seed"):
                 if key in replay.meta:
                     capture.meta[key] = replay.meta[key]
+        stamp_update_meta(capture.meta, updates, update_rate, update_mix,
+                          replay)
     workload = WorkloadConfig(num_requests=num_requests, rate_rps=rate_rps,
                               arrival=arrival, popularity_skew=popularity_skew,
                               peak_factor=peak_factor, seed=seed)

@@ -532,15 +532,14 @@ def account_batch_service(scorer: ShapeScorer, stats, batch, profile_fn,
                           active_shapes, note_demand: bool) -> None:
     """Fold one measured batch service into the shape books.
 
-    The single- and multi-tenant event loops both call this right after
-    simulating a batch's service time, so the bookkeeping cannot drift
-    between them: stamp the batch's profile if missing, count demand
-    (``note_demand=True`` under shape-*oblivious* dispatch — the
-    shape-aware dispatcher already counted it at selection time), charge
-    ``stats.misdispatch_s`` with the time lost versus the oracle-best
-    shape among ``active_shapes`` (priced from the rates the dispatcher
-    had *before* this observation), then feed the measured rate into the
-    scorer's EWMA.  ``stats`` is a
+    The event loop calls this right after simulating a batch's service
+    time, for every dispatch stage alike: stamp the batch's profile if
+    missing, count demand (``note_demand=True`` under shape-*oblivious*
+    dispatch -- the shape-aware dispatcher already counted it at selection
+    time), charge ``stats.misdispatch_s`` with the time lost versus the
+    oracle-best shape among ``active_shapes`` (priced from the rates the
+    dispatcher had *before* this observation), then feed the measured rate
+    into the scorer's EWMA.  ``stats`` is a
     :class:`~repro.serving.stats.HeteroStats` (duck-typed).
     """
     if batch.profile is None:
@@ -578,8 +577,8 @@ class ShapeChooser:
     chip of the *worst*-rated shape for the dominant bucket (the shape the
     current demand needs least), tie-broken on the emptiest queue so the
     least work gets stranded.  ``scorers`` is one or more
-    :class:`ShapeScorer` views of demand -- the single-tenant loop passes
-    its one scorer, the multi-tenant loop passes every tenant's (rates are
+    :class:`ShapeScorer` views of demand -- one per lane of the event loop
+    (single-tenant serving has one, multi-tenant every tenant's; rates are
     averaged over the scorers that know the shape).
     """
 

@@ -4,9 +4,9 @@ The serving subsystem's end-of-run report (:mod:`repro.serving.stats`)
 answers *what happened on average*; this module answers *where one request
 spent its time* and *how fleet state evolved mid-run*.  Three pieces:
 
-* :class:`Instrumentation` -- the hub both event loops
-  (:mod:`repro.serving.fleet`, :mod:`repro.serving.tenancy`) thread their
-  lifecycle hooks through.  It is **opt-in**: the loops hold ``observe =
+* :class:`Instrumentation` -- the hub the serving event loop
+  (:mod:`repro.serving.fleet`, single- and multi-tenant) threads its
+  lifecycle hooks through.  It is **opt-in**: the loop holds ``observe =
   None`` by default and guard every hook with an ``is not None`` check, so
   an uninstrumented run executes no observability code at all.  All
   timestamps are **seconds of simulated time** (the discrete-event clock),
@@ -401,7 +401,7 @@ class Instrumentation:
                           tenant: str = "") -> None:
         """A chip finished serving ``batch``; emit its span tree.
 
-        Called from the loops' completion handlers with the same
+        Called from the loop's completion handler with the same
         ``dispatched`` / ``started`` timestamps the
         :class:`~repro.serving.stats.RequestRecord` is built from, so the
         per-request phase spans (batching -> queue -> service) sum to the

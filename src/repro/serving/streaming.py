@@ -29,6 +29,7 @@ service time *is* a stale serve, not randomness.  See ``docs/streaming.md``.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -38,10 +39,10 @@ import numpy as np
 from ..graphs.delta import DeltaGraph
 from .stats import ConsistencyStats
 
-__all__ = ["UPDATE_KINDS", "INVALIDATION_POLICIES", "UpdateEvent",
-           "UpdateStream", "StreamState", "parse_update_mix",
-           "feature_row", "generate_update_stream",
-           "clear_update_stream_cache"]
+__all__ = ["UPDATE_KINDS", "INVALIDATION_POLICIES", "MAX_UPDATE_EVENTS",
+           "UpdateEvent", "UpdateStream", "StreamState", "parse_update_mix",
+           "feature_row", "generate_update_stream", "open_update_stream",
+           "stamp_update_meta", "clear_update_stream_cache"]
 
 #: The mutation kinds an update stream can carry: an in-edge insertion, a
 #: feature-row overwrite, or a new vertex (attached by one in-edge so the
@@ -235,6 +236,74 @@ class UpdateStream:
             compact_every=self.compact_every)
 
 
+#: Upper bound on the update events a run pre-generates.  ``update_rate`` is
+#: a per-request ratio, so a value meant as a per-second rate (``2e6``)
+#: would otherwise allocate billions of events before anything runs.
+MAX_UPDATE_EVENTS = 1_000_000
+
+
+def open_update_stream(update_rate: float, request_counts: Iterable[int],
+                       replay=None, invalidation: str = "targeted",
+                       staleness_budget: int = 0
+                       ) -> Optional[UpdateStream]:
+    """Validate ``update_rate`` and build the run's (still empty) stream.
+
+    The end-to-end drivers call this before building a simulator: the
+    stream must exist first (it wraps the graphs and rebinds the caches),
+    but its events need the resolved arrival rates, so the drivers fill
+    them in later.  ``request_counts`` are the request streams the events
+    will be generated against (``round(update_rate * n)`` events each);
+    a total above :data:`MAX_UPDATE_EVENTS` is rejected before anything is
+    allocated.  A ``replay`` trace that carries updates arms the stream
+    with its capturing run's invalidation policy and staleness budget.
+    Returns ``None`` for a static run.
+    """
+    if not (math.isfinite(update_rate) and update_rate >= 0):
+        raise ValueError(f"update_rate must be >= 0 and finite, got {update_rate}")
+    replayed = replay is not None and replay.num_updates > 0
+    if not replayed:
+        count = sum(int(round(update_rate * n)) for n in request_counts)
+        if count > MAX_UPDATE_EVENTS:
+            raise ValueError(
+                f"--update-rate {update_rate:g} would pre-generate {count:,} "
+                f"update events (update_rate x requests), above the limit "
+                f"of {MAX_UPDATE_EVENTS:,}; --update-rate is updates per "
+                f"request, not per second")
+    if not (update_rate > 0 or replayed):
+        return None
+    if replayed:
+        # the capturing run's policy is part of what made its report;
+        # replay it bit-for-bit unless it never stamped one
+        invalidation = replay.meta.get("invalidation", invalidation)
+        staleness_budget = int(replay.meta.get("staleness_budget",
+                                               staleness_budget))
+    return UpdateStream(events=(), policy=invalidation,
+                        staleness_budget_versions=staleness_budget)
+
+
+def stamp_update_meta(meta: Dict, updates: Optional[UpdateStream],
+                      update_rate: float, update_mix: Optional[str],
+                      replay=None) -> None:
+    """Record a run's update-stream provenance in a capture's ``meta``.
+
+    Re-capturing a replay keeps the original workload's update provenance,
+    so the new trace file reproduces the one replayed.
+    """
+    if updates is not None:
+        meta.update({
+            "update_rate": update_rate,
+            "invalidation": updates.policy,
+            "staleness_budget": updates.staleness_budget_versions,
+        })
+        if update_mix:
+            meta["update_mix"] = update_mix
+    if replay is not None:
+        for key in ("update_rate", "update_mix", "invalidation",
+                    "staleness_budget"):
+            if key in replay.meta:
+                meta[key] = replay.meta[key]
+
+
 @dataclass
 class _ResultMeta:
     version: int
@@ -245,9 +314,9 @@ class _ResultMeta:
 class StreamState:
     """Per-run update applier, cache invalidator and consistency tracker.
 
-    One instance per (graph, sampler, result cache) -- the single-tenant
-    loop has one; the multi-tenant loop has one per tenant (each tenant
-    serves its own graph), all folding into one shared
+    One instance per (graph, sampler, result cache), i.e. per lane of the
+    event loop -- single-tenant serving has one, multi-tenant one per
+    tenant (each tenant serves its own graph), all folding into one shared
     :class:`~repro.serving.stats.ConsistencyStats`.
 
     ``chips`` is the live chip roster (the same list object the scaler

@@ -4,10 +4,10 @@ The observability layer (:mod:`repro.serving.observe`) answers *where a
 request spent its time*; this module answers *what traffic the fleet was
 offered* -- and makes that stream a first-class, replayable artifact:
 
-* :class:`TraceWriter` -- the capture hub both event loops
-  (:mod:`repro.serving.fleet`, :mod:`repro.serving.tenancy`) thread their
+* :class:`TraceWriter` -- the capture hub the serving event loop
+  (:mod:`repro.serving.fleet`, single- and multi-tenant) threads its
   arrival hook through, same duck-typed opt-in pattern as
-  :class:`~repro.serving.observe.Instrumentation`: the loops hold
+  :class:`~repro.serving.observe.Instrumentation`: the loop holds
   ``capture = None`` by default and guard the single hook with an
   ``is not None`` check, so an uncaptured run executes no capture code.
   The hook fires on every *offered* request at its arrival event -- before

@@ -102,8 +102,18 @@ NON_FINITE_RATE_ARGS = [
 ]
 
 
-@pytest.mark.parametrize("flags", NON_FINITE_RATE_ARGS, ids=" ".join)
-def test_non_finite_rates_exit_2_quickly(flags):
+#: ``--update-rate`` is updates per *request*; read as a per-second rate
+#: it once pre-generated billions of update events and OOM-killed the run.
+RUNAWAY_UPDATE_ARGS = [
+    ["--requests", "400", "--update-rate", "2e6"],
+    ["--tenants", str(ROOT / "examples" / "tenants.json"),
+     "--requests", "400", "--update-rate", "2e6"],
+]
+
+
+def _serve_exits_2_quickly(flags) -> str:
+    """Run ``serve`` with ``flags``; assert a fast, clean exit 2 and
+    return its stderr."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     start = time.perf_counter()
@@ -113,8 +123,20 @@ def test_non_finite_rates_exit_2_quickly(flags):
         capture_output=True, text=True, env=env, timeout=60)
     assert time.perf_counter() - start < 30
     assert proc.returncode == 2, proc.stderr
-    assert "error:" in proc.stderr and "finite" in proc.stderr
+    assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("flags", NON_FINITE_RATE_ARGS, ids=" ".join)
+def test_non_finite_rates_exit_2_quickly(flags):
+    assert "finite" in _serve_exits_2_quickly(flags)
+
+
+@pytest.mark.parametrize("flags", RUNAWAY_UPDATE_ARGS, ids=" ".join)
+def test_runaway_update_rate_exits_2_quickly(flags):
+    stderr = _serve_exits_2_quickly(flags)
+    assert "--update-rate" in stderr and "update events" in stderr
 
 
 def test_online_serving_example_runs(capsys):

@@ -45,8 +45,10 @@ from repro.serving.fleet import FleetConfig, run_serving
 from repro.serving.sampler import SubgraphSampler
 from repro.serving.sharding import ShardingConfig
 from repro.serving.stats import ConsistencyStats
-from repro.serving.streaming import (StreamState, UpdateEvent, UpdateStream,
-                                     feature_row, generate_update_stream)
+from repro.serving.streaming import (MAX_UPDATE_EVENTS, StreamState,
+                                     UpdateEvent, UpdateStream, feature_row,
+                                     generate_update_stream,
+                                     open_update_stream)
 from repro.serving.workload import Request
 
 
@@ -511,3 +513,18 @@ def test_probe_leaves_no_memo_residue_on_mutable_samplers():
     assert len(sampler._memo) == 0
     assert len(sampler._sig_memo) == 0
     assert sampler._vertex_keys == {}
+
+
+def test_update_event_bound_is_checked_before_anything_is_built():
+    """``update_rate`` is a per-request ratio; a total above the bound is
+    rejected up front, naming the flag and the count, and the bound itself
+    is inclusive."""
+    assert open_update_stream(0.0, [100]) is None
+    exact = open_update_stream(MAX_UPDATE_EVENTS / 4, [2, 2])
+    assert exact is not None and exact.events == ()
+    with pytest.raises(ValueError, match=r"--update-rate.*2,000,000 update"):
+        open_update_stream(5000.0, [200, 200])
+    with pytest.raises(ValueError, match="800,000,000"):
+        # fails before the dataset is loaded, so it is instant
+        run_serving(dataset="IB", num_requests=400, update_rate=2e6)
+
