@@ -1129,6 +1129,7 @@ class _EventLoop:
         self.running: Dict[int, Tuple[Lane, Batch]] = {}   # chip id -> batch
         # time-weighted in-flight integral for the avg queue-pressure metric
         self.in_flight = 0
+        self.requests = requests
         self.t0 = requests[0].arrival_time_s if requests else 0.0
         self.last_t = self.t0
         self.in_flight_area = 0.0
@@ -1383,8 +1384,8 @@ class _EventLoop:
     # ------------------------------------------------------------------ #
     # The loop
     # ------------------------------------------------------------------ #
-    def run(self, requests: Sequence[Request]) -> None:
-        sim, observe = self.sim, self.observe
+    def run(self) -> None:
+        sim, observe, requests = self.sim, self.observe, self.requests
         for lane in self.lanes:
             lane.arrivals_left = 0
             if observe is not None:
@@ -1663,7 +1664,7 @@ class ServingSimulator(FleetSimulator):
                 # counters are per run; the scorer's learned rates persist
                 self._dispatch.scored = self._dispatch.fallback = 0
         loop = _ChipQueueLoop(self, requests, hetero_stats)
-        loop.run(requests)
+        loop.run()
 
         report.records = loop.records
         report.max_queue_depth = loop.max_queue_depth

@@ -65,11 +65,7 @@ from .fleet import (
     _EventLoop,
 )
 from .sampler import SubgraphSampler
-from .stats import (
-    HeteroStats,
-    MultiTenantReport,
-    ServingReport,
-)
+from .stats import HeteroStats, MultiTenantReport, ServingReport
 from .streaming import (
     UpdateStream,
     generate_update_stream,
@@ -534,7 +530,7 @@ class MultiTenantSimulator(FleetSimulator):
                 dispatch_policy="shape-aware"
                 if fleet.dispatch == "shape-aware" else "wfq-first-idle")
         loop = _WFQLoop(self, requests, hetero_stats)
-        loop.run(requests)
+        loop.run()
 
         # ------------------------------------------------------------------
         # Roll the tagged records up into per-tenant report slices
