@@ -13,10 +13,15 @@ to demonstrate is speed.  Three metrics on a zipf-degree synthetic graph:
   simulator runs per dispatch: extract every target, price the batch with
   ``fused_size``, materialise the fused graph.
 
+A fourth metric, ``batch-extract``, stays on the CSC core: one cold
+``extract_batch`` call over the batch (the multi-target kernel) against the
+cold per-target ``extract`` loop, at the serving simulator's default
+sampling shape (2 hops, fanout 8).
+
 The assertions are the acceptance gate: the CSC core must deliver >= 10x
 ``sampler+fuse`` and ``fuse`` throughput over the object core (extract
 alone is gated at >= 3x -- its tail is the canonical-CSR sort both cores
-share).  Ratios are measured in-process on identical seeded target sets,
+share), and ``batch-extract`` is gated at >= 1.5x.  Ratios are measured in-process on identical seeded target sets,
 so machine noise largely cancels.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the graph for the CI smoke job;
@@ -49,6 +54,16 @@ SEED = 3
 MIN_PIPELINE_SPEEDUP = 10.0
 MIN_FUSE_SPEEDUP = 10.0
 MIN_EXTRACT_SPEEDUP = 3.0
+#: ``batch-extract`` runs at the serving default shape (FleetConfig's
+#: num_hops/fanout), where samples are small and the multi-target kernel's
+#: saving -- per-target overhead -- shows.  Measured batch/loop ratios:
+#: median 2.25x (lowest 1.87x, 9 runs) at smoke size and 2.47x (lowest
+#: 2.33x, 7 runs) at full size, so 1.5x sits 20% under the lowest run.  At
+#: the 3-hop, fanout-32 shape above (~2,000-vertex samples) the two are at
+#: parity: medians 1.17x smoke, 0.90x full.
+BATCH_HOPS = 2
+BATCH_FANOUT = 8
+MIN_BATCH_EXTRACT_SPEEDUP = 1.5
 
 
 def _graphs():
@@ -107,6 +122,27 @@ def _time_pipeline(graph, targets):
     return best
 
 
+def _time_batch_extract(graph, targets):
+    """Seconds for one cold extraction of ``targets`` as ``(per-target
+    loop, one extract_batch call)``, best of REPEATS, interleaved so both
+    sides see the same host-speed drift."""
+    shapes = [(t, None, None) for t in targets]
+    best_loop = best_batch = float("inf")
+    for _ in range(REPEATS):
+        sampler = SubgraphSampler(graph, num_hops=BATCH_HOPS,
+                                  fanout=BATCH_FANOUT, seed=SEED)
+        start = time.perf_counter()
+        for target in targets:
+            sampler.extract(target)
+        best_loop = min(best_loop, time.perf_counter() - start)
+        sampler = SubgraphSampler(graph, num_hops=BATCH_HOPS,
+                                  fanout=BATCH_FANOUT, seed=SEED)
+        start = time.perf_counter()
+        sampler.extract_batch(shapes)
+        best_batch = min(best_batch, time.perf_counter() - start)
+    return best_loop, best_batch
+
+
 def _maybe_dump(tag, rows):
     path = os.environ.get("REPRO_BENCH_JSON")
     if not path:
@@ -143,14 +179,25 @@ def test_core_speed(benchmark):
         f"core speed: CSC vs object "
         f"(V={NUM_VERTICES}, E={NUM_EDGES}, hops={NUM_HOPS}, "
         f"fanout={FANOUT}, batch={BATCH})"))
+    t_loop, t_batch = _time_batch_extract(csc, targets)
+    batch_row = {"metric": "batch-extract",
+                 "loop_per_s": round(len(targets) / t_loop, 1),
+                 "batch_per_s": round(len(targets) / t_batch, 1),
+                 "speedup": round(t_loop / t_batch, 2)}
+    print_table([batch_row], title=(
+        f"batch extraction: extract_batch vs the per-target extract loop "
+        f"(CSC, hops={BATCH_HOPS}, fanout={BATCH_FANOUT}, batch={BATCH})"))
     _maybe_dump("core_speed", {
         "graph": {"num_vertices": NUM_VERTICES, "num_edges": NUM_EDGES,
                   "feature_length": FEATURE_LENGTH, "skew": SKEW},
         "shape": {"num_hops": NUM_HOPS, "fanout": FANOUT, "batch": BATCH},
-        "rows": rows,
+        "batch_extract_shape": {"num_hops": BATCH_HOPS,
+                                "fanout": BATCH_FANOUT},
+        "rows": rows + [batch_row],
     })
     speedups = {row["metric"]: row["speedup"] for row in rows}
     # the acceptance gate for the array-native core refactor
     assert speedups["sampler+fuse"] >= MIN_PIPELINE_SPEEDUP, speedups
     assert speedups["fuse"] >= MIN_FUSE_SPEEDUP, speedups
     assert speedups["extract"] >= MIN_EXTRACT_SPEEDUP, speedups
+    assert batch_row["speedup"] >= MIN_BATCH_EXTRACT_SPEEDUP, batch_row

@@ -149,10 +149,17 @@ class CSRMatrix:
         if len(rows):
             np.cumsum(np.bincount(rows + 1, minlength=num_rows + 1),
                       out=indptr)
+        return cls.from_parts(indptr, cols, num_cols)
+
+    @classmethod
+    def from_parts(cls, indptr: np.ndarray, indices: np.ndarray,
+                   num_cols: int) -> "CSRMatrix":
+        """Trusted constructor from canonical ``int64`` ``indptr``/``indices``
+        arrays: no validation, no copies (callers build them canonical)."""
         self = cls.__new__(cls)
         self.indptr = indptr
-        self.indices = cols
-        self.num_rows = int(num_rows)
+        self.indices = indices
+        self.num_rows = len(indptr) - 1
         self.num_cols = int(num_cols)
         return self
 

@@ -38,6 +38,7 @@ as batching wait.  ``tests/serving/test_batching.py`` pins this.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Optional
 
@@ -51,6 +52,7 @@ __all__ = [
     "TimeoutBatcher",
     "SLOAwareBatcher",
     "build_batcher",
+    "positive_finite",
 ]
 
 #: Flush-trigger policy names accepted by the CLI and :func:`build_batcher`.
@@ -59,6 +61,19 @@ __all__ = [
 BATCHING_POLICIES = ("size", "timeout", "slo")
 
 _EPS = 1e-12
+
+
+def positive_finite(name: str, value: float) -> float:
+    """``value`` as a float if it is finite and positive, else ValueError.
+
+    The one check for every batching time (timeouts, SLOs, join windows,
+    staleness budgets): a bare ``value <= 0`` lets NaN through, and a NaN
+    deadline never fires, so the event loop would wait on it forever.
+    """
+    value = float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
 
 
 @dataclass
@@ -259,9 +274,7 @@ class TimeoutBatcher(Batcher):
                  tenant: str = ""):
         super().__init__(max_batch_size=max_batch_size, policy="timeout",
                          tenant=tenant)
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        self.timeout_s = float(timeout_s)
+        self.timeout_s = positive_finite("timeout_s", timeout_s)
 
     def next_deadline(self, now: float) -> Optional[float]:
         if not self._pending:
@@ -287,11 +300,9 @@ class SLOAwareBatcher(Batcher):
                  tenant: str = ""):
         super().__init__(max_batch_size=max_batch_size, policy="slo",
                          tenant=tenant)
-        if slo_s <= 0:
-            raise ValueError("slo_s must be positive")
+        self.slo_s = positive_finite("slo_s", slo_s)
         if not 0 < ewma_alpha <= 1:
             raise ValueError("ewma_alpha must be in (0, 1]")
-        self.slo_s = float(slo_s)
         self.safety_factor = float(safety_factor)
         self.ewma_alpha = float(ewma_alpha)
         self._service_estimate_s: Optional[float] = None

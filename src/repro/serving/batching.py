@@ -53,8 +53,9 @@ from .batcher import (
     Batcher,
     TimeoutBatcher,
     build_batcher,
+    positive_finite,
 )
-from .sampler import estimate_jaccard
+from .sampler import SIGNATURE_HASHES, estimate_jaccard
 from .workload import Request
 
 __all__ = [
@@ -182,24 +183,25 @@ class OverlapBatcher(Batcher):
                  tenant: str = "", policy: str = "overlap"):
         super().__init__(max_batch_size=max_batch_size, policy=policy,
                          tenant=tenant)
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
+        self.timeout_s = positive_finite("timeout_s", timeout_s)
         if not 0.0 <= min_overlap <= 1.0:
             raise ValueError("min_overlap must be in [0, 1]")
         if pool_factor < 1:
             raise ValueError("pool_factor must be >= 1")
         if signature_fn is None:
             raise ValueError(f"the {policy!r} policy needs a signature_fn")
-        self.timeout_s = float(timeout_s)
         self.min_overlap = float(min_overlap)
         self.pool_size = int(pool_factor) * self.max_batch_size
         self._signature_fn = signature_fn
-        self._sigs: List[np.ndarray] = []   # parallel to _pending
+        # pending signatures: row i belongs to _pending[i]; the pool never
+        # holds more than pool_size requests (add flushes at that size)
+        self._sig_rows = np.empty((self.pool_size, SIGNATURE_HASHES),
+                                  dtype=np.uint64)
 
     # ------------------------------------------------------------------ #
     def add(self, request: Request, now: float) -> Optional[Batch]:
         """Pool ``request``; emits a group only when the pool overflows."""
-        self._sigs.append(self._signature_fn(request))
+        self._sig_rows[len(self._pending)] = self._signature_fn(request)
         self._pending.append(request)
         if len(self._pending) >= self.pool_size:
             return self.flush(now)
@@ -224,7 +226,7 @@ class OverlapBatcher(Batcher):
         requests = [self._pending[i] for i in chosen]
         keep = [i for i in range(len(self._pending)) if i not in chosen_set]
         self._pending = [self._pending[i] for i in keep]
-        self._sigs = [self._sigs[i] for i in keep]
+        self._sig_rows[:len(keep)] = self._sig_rows[keep]
         batch = Batch(batch_id=self._next_batch_id, requests=requests,
                       created_time_s=now, tenant=self.tenant)
         self._next_batch_id += 1
@@ -238,20 +240,29 @@ class OverlapBatcher(Batcher):
         """Indices of the next group plus its union minhash signature.
 
         ``_pending`` is in arrival order (nondecreasing time), so index 0
-        is the oldest request and anchors the group.
+        is the oldest request and anchors the group.  Each greedy step
+        scores the whole pool against the union in one matrix comparison;
+        a row's equal-component count over the signature length is
+        exactly :func:`~repro.serving.sampler.estimate_jaccard`'s value,
+        and chosen rows are masked below any real count, so the first
+        maximum is the earliest-arriving best candidate.
         """
-        union_sig = self._sigs[0].copy()
+        count = len(self._pending)
+        sigs = self._sig_rows[:count]
+        union_sig = sigs[0].copy()
         chosen = [0]                        # selection order, anchor first
-        candidates = list(range(1, len(self._pending)))
-        while candidates and len(chosen) < self.max_batch_size:
-            sims = np.array([estimate_jaccard(self._sigs[i], union_sig)
-                             for i in candidates])
-            best = int(np.argmax(sims))     # first max: arrival-order ties
-            if self.min_overlap > 0.0 and sims[best] < self.min_overlap:
+        taken = np.zeros(count, dtype=bool)
+        taken[0] = True
+        while len(chosen) < min(self.max_batch_size, count):
+            equal = (sigs == union_sig).sum(axis=1)
+            equal[taken] = -1
+            best = int(np.argmax(equal))        # first max: arrival order
+            if self.min_overlap > 0.0 and \
+                    equal[best] / SIGNATURE_HASHES < self.min_overlap:
                 break
-            pick = candidates.pop(best)
-            chosen.append(pick)
-            union_sig = np.minimum(union_sig, self._sigs[pick])
+            chosen.append(best)
+            taken[best] = True
+            union_sig = np.minimum(union_sig, sigs[best])
         return chosen, union_sig
 
     def _register(self, batch: Batch, union_sig: np.ndarray) -> None:
@@ -291,12 +302,8 @@ class ContinuousBatcher(OverlapBatcher):
                          signature_fn=signature_fn, min_overlap=min_overlap,
                          pool_factor=pool_factor, tenant=tenant,
                          policy="continuous")
-        if join_window_s <= 0:
-            raise ValueError("join_window_s must be positive")
-        if staleness_s <= 0:
-            raise ValueError("staleness_s must be positive")
-        self.join_window_s = float(join_window_s)
-        self.staleness_s = float(staleness_s)
+        self.join_window_s = positive_finite("join_window_s", join_window_s)
+        self.staleness_s = positive_finite("staleness_s", staleness_s)
         self._open: Dict[int, List] = {}    # batch_id -> [batch, union_sig]
         self.join_log: List[LateJoin] = []
 

@@ -64,7 +64,7 @@ from ..graphs.datasets import load_dataset
 from ..graphs.delta import DeltaGraph
 from ..graphs.graph import Graph
 from ..models.model_zoo import build_model
-from .batcher import Batch
+from .batcher import Batch, positive_finite
 from .batching import (
     ALL_BATCH_POLICIES,
     build_batch_policy,
@@ -210,20 +210,16 @@ class FleetConfig:
             raise ValueError("reuse_discount must be in [0, 1)")
         if self.cache_size < 0 or self.feature_cache_size < 0:
             raise ValueError("cache sizes must be >= 0")
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive when set")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive when set")
+        for name in ("batch_timeout_s", "slo_s", "join_window_s",
+                     "staleness_s"):
+            if getattr(self, name) is not None:
+                positive_finite(name, getattr(self, name))
         if self.overlap_k is not None and self.overlap_k < 0:
             raise ValueError("overlap_k must be >= 0 when set")
         if not 0.0 <= self.min_overlap <= 1.0:
             raise ValueError("min_overlap must be in [0, 1]")
         if self.pool_factor < 1:
             raise ValueError("pool_factor must be >= 1")
-        if self.join_window_s is not None and self.join_window_s <= 0:
-            raise ValueError("join_window_s must be positive when set")
-        if self.staleness_s is not None and self.staleness_s <= 0:
-            raise ValueError("staleness_s must be positive when set")
         if self.sharding is not None \
                 and self.sharding.num_shards != self.num_chips:
             raise ValueError(
@@ -478,9 +474,8 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     request_shapes = [(r.target_vertex, r.degrade_hops, r.degrade_fanout)
                       for r in batch.requests]
     shapes = list(dict.fromkeys(request_shapes))
-    by_shape = {s: sampler.extract(s[0], num_hops=s[1], fanout=s[2])
-                for s in shapes}
-    samples = [by_shape[s] for s in shapes]
+    samples = sampler.extract_batch(shapes)
+    by_shape = dict(zip(shapes, samples))
     naive_vertices = sum(by_shape[s].num_vertices for s in request_shapes)
     if len(samples) == 1:
         fused = samples[0].graph

@@ -64,6 +64,21 @@ identical elementwise position arithmetic, identical local-id order,
 identical canonical CSR output -- which
 ``tests/graphs/test_csc_equivalence.py`` proves differentially and
 ``benchmarks/bench_core_speed.py`` shows is >= 10x faster.
+
+**Batch at a time.**  Serving code extracts a whole batch's shapes with
+one :meth:`SubgraphSampler.extract_batch` call (its memo-bypassing twin is
+:meth:`SubgraphSampler.extract_fresh_batch`).  All memo misses go to one
+kernel call: the single-target kernel when there is one miss, since it has
+the lower fixed cost, and otherwise the multi-target kernel, which expands
+every target's frontier as one array per hop and draws each target's
+phases from its own ``default_rng((seed, target))`` stream in hop order,
+so every sample is bit-identical to a one-at-a-time extraction.  The memo
+sees exactly the one-at-a-time sequence: misses are found by peeking,
+then ``get``/``put`` are replayed in shape order -- same hit/miss counters,
+LRU order, evictions and streaming bookkeeping -- and a shape that an
+earlier put of the same call evicted is re-extracted alone.
+``tests/serving/test_batch_kernels.py`` checks both kernels and the replay
+differentially.
 """
 
 from __future__ import annotations
@@ -94,6 +109,31 @@ def estimate_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     if sig_a.shape != sig_b.shape:
         raise ValueError("signatures must have the same length")
     return float(np.mean(sig_a == sig_b))
+
+
+def _reach(num_hops: int, fanout: int, cap: int) -> int:
+    """Most vertices a ``num_hops``-hop, ``fanout``-capped sample can hold
+    (``1 + fanout + ... + fanout**num_hops``), clipped to ``cap``."""
+    total = layer = 1
+    for _ in range(num_hops):
+        layer *= fanout
+        total += layer
+        if total >= cap:
+            return cap
+    return total
+
+
+def _first_seen(scratch: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first occurrence of each value in ``values``.
+
+    Sort-free O(n) dedup over non-negative ints below ``scratch.size``:
+    scattering positions in *reverse* makes the earliest index win, so an
+    element is a first occurrence exactly when the scratch table still
+    holds its own index.  Stale scratch entries are harmless -- only
+    entries in ``values`` are read, and those were all just written.
+    """
+    scratch[values[::-1]] = np.arange(values.size - 1, -1, -1)
+    return scratch[values] == np.arange(values.size)
 
 
 @dataclass(frozen=True)
@@ -303,17 +343,23 @@ class SubgraphSampler:
         return self._key_versions.get((target_vertex, hops, fan))
 
     def _first_seen(self, values: np.ndarray) -> np.ndarray:
-        """Boolean mask of the first occurrence of each value in ``values``.
+        """Boolean mask of the first occurrence of each vertex id in
+        ``values`` (:func:`_first_seen` over the vertex scratch table)."""
+        return _first_seen(self._pos_lut, values)
 
-        Sort-free O(n) dedup: scattering positions in *reverse* makes the
-        earliest index win, so an element is a first occurrence exactly
-        when the scratch table still holds its own index.  Stale scratch
-        entries are harmless -- only entries in ``values`` are read, and
-        those were all just written.
-        """
-        pos = self._pos_lut
-        pos[values[::-1]] = np.arange(values.size - 1, -1, -1)
-        return pos[values] == np.arange(values.size)
+    def _shape_key(self, target_vertex: int, num_hops: Optional[int],
+                   fanout: Optional[int]) -> Tuple[int, int, int]:
+        """Validated memo key ``(target, hops, fanout)`` of one shape
+        (``None`` components resolve to the sampler defaults)."""
+        if not 0 <= target_vertex < self.graph.num_vertices:
+            raise ValueError(f"target vertex {target_vertex} out of range")
+        hops = self.num_hops if num_hops is None else int(num_hops)
+        fan = self.fanout if fanout is None else int(fanout)
+        if hops < 0:
+            raise ValueError("num_hops must be >= 0")
+        if fan < 1:
+            raise ValueError("fanout must be >= 1")
+        return (target_vertex, hops, fan)
 
     def extract(self, target_vertex: int, num_hops: Optional[int] = None,
                 fanout: Optional[int] = None) -> SubgraphSample:
@@ -328,27 +374,39 @@ class SubgraphSampler:
         re-seeded per target, so the memo (and the result cache built on
         top of it) can never observe request-order-dependent samples.
         """
+        return self.extract_batch([(target_vertex, num_hops, fanout)])[0]
+
+    def extract_batch(self, shapes: Iterable[Tuple[int, Optional[int],
+                                                   Optional[int]]]
+                      ) -> List[SubgraphSample]:
+        """Memoised samples of a batch of ``(target, hops, fanout)`` shapes.
+
+        Returns exactly what ``[extract(*s) for s in shapes]`` returns and
+        leaves the memo exactly as that loop would -- same hit/miss
+        counters, LRU order, evictions and streaming bookkeeping -- but
+        extracts every memo miss in one multi-target kernel call (see the
+        module docstring).  Shapes may repeat and may mix hop/fanout
+        overrides.
+        """
         self._sync()
-        if not 0 <= target_vertex < self.graph.num_vertices:
-            raise ValueError(f"target vertex {target_vertex} out of range")
-        hops = self.num_hops if num_hops is None else int(num_hops)
-        fan = self.fanout if fanout is None else int(fanout)
-        if hops < 0:
-            raise ValueError("num_hops must be >= 0")
-        if fan < 1:
-            raise ValueError("fanout must be >= 1")
-        key = (target_vertex, hops, fan)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        if self.array_core:
-            sample = self._extract_arrays(target_vertex, hops, fan)
-        else:
-            sample = self._extract(target_vertex, hops, fan)
-        self._memo.put(key, sample)
-        if self._mutable:
-            self._register_sample(key, sample)
-        return sample
+        keys = [self._shape_key(*shape) for shape in shapes]
+        memo = self._memo
+        misses = [key for key in dict.fromkeys(keys) if key not in memo]
+        fresh = dict(zip(misses, self._extract_keys(misses)))
+        # replay the per-shape get/put sequence of the one-at-a-time loop
+        samples = []
+        for key in keys:
+            sample = memo.get(key)
+            if sample is None:
+                sample = fresh.get(key)
+                if sample is None:
+                    # a hit at peek time, evicted by an earlier put since
+                    sample = self._extract_keys([key])[0]
+                memo.put(key, sample)
+                if self._mutable:
+                    self._register_sample(key, sample)
+            samples.append(sample)
+        return samples
 
     def extract_fresh(self, target_vertex: int,
                       num_hops: Optional[int] = None,
@@ -361,14 +419,28 @@ class SubgraphSampler:
         an update (extraction is deterministic per ``(seed, target, hops,
         fanout)``, so any difference is staleness, not randomness).
         """
+        return self.extract_fresh_batch([(target_vertex, num_hops,
+                                          fanout)])[0]
+
+    def extract_fresh_batch(self, shapes: Iterable[Tuple[int, Optional[int],
+                                                         Optional[int]]]
+                            ) -> List[SubgraphSample]:
+        """Memo-bypassing :meth:`extract_batch`: one fresh sample per shape,
+        all extracted in one kernel call."""
         self._sync()
-        if not 0 <= target_vertex < self.graph.num_vertices:
-            raise ValueError(f"target vertex {target_vertex} out of range")
-        hops = self.num_hops if num_hops is None else int(num_hops)
-        fan = self.fanout if fanout is None else int(fanout)
-        if self.array_core:
-            return self._extract_arrays(target_vertex, hops, fan)
-        return self._extract(target_vertex, hops, fan)
+        return self._extract_keys([self._shape_key(*shape)
+                                   for shape in shapes])
+
+    def _extract_keys(self, keys: Sequence[Tuple[int, int, int]]
+                      ) -> List[SubgraphSample]:
+        """Kernel selection: the object core on plain graphs; on the array
+        core the single-target kernel for one key (it has the lower fixed
+        cost) and the multi-target kernel for several."""
+        if not self.array_core:
+            return [self._extract(*key) for key in keys]
+        if len(keys) == 1:
+            return [self._extract_arrays(*keys[0])]
+        return self._extract_many_arrays(keys) if keys else []
 
     def signature_fresh(self, target_vertex: int,
                         num_hops: Optional[int] = None,
@@ -437,23 +509,15 @@ class SubgraphSampler:
         with it.  Uses the extraction memo, so pricing a batch of hot
         targets costs dictionary lookups, not re-extraction.
         """
-        self._sync()
+        samples = self.extract_batch(shapes)
+        if not samples:
+            return 0, 0
+        naive = sum(sample.num_vertices for sample in samples)
         if self.array_core:
-            arrays: List[np.ndarray] = []
-            naive = 0
-            for target, hops, fan in shapes:
-                sample = self.extract(target, num_hops=hops, fanout=fan)
-                naive += sample.num_vertices
-                arrays.append(sample.vertex_array)
-            if not arrays:
-                return 0, 0
-            concat = np.concatenate(arrays)
+            concat = np.concatenate([s.vertex_array for s in samples])
             return int(self._first_seen(concat).sum()), naive
         union = set()
-        naive = 0
-        for target, hops, fan in shapes:
-            sample = self.extract(target, num_hops=hops, fanout=fan)
-            naive += sample.num_vertices
+        for sample in samples:
             union.update(sample.vertices)
         return len(union), naive
 
@@ -643,6 +707,191 @@ class SubgraphSampler:
         return SubgraphSample(target_vertex=target_vertex,
                               vertices=tuple(order.tolist()), graph=graph,
                               vertex_ids=order)
+
+    def _extract_many_arrays(self, keys: Sequence[Tuple[int, int, int]]
+                             ) -> List[SubgraphSample]:
+        """Multi-target array-core extraction: all ``keys`` in one pass.
+
+        Every hop expands the frontiers of all targets (*slots*) still
+        within their hop budget as one concatenated array, grouped by slot
+        in slot order.  Global vertex ids met in the call get dense ids
+        through the scratch LUT, and a flat ``(slot, dense id)`` table
+        holds each slot's local ids, so finding a neighbour's local id and
+        deduplicating the unseen ones are scatter/gather passes, as in the
+        single-target kernel.  Unseen neighbours take their slot's next
+        local ids in first-seen order over the stream; because the stream
+        is grouped by slot, that is each slot's own first-seen order.  The
+        over-fanout phases are drawn slot by slot from each target's own
+        ``default_rng((seed, target))`` in frontier order.  So every sample
+        equals :meth:`_extract_arrays` on its key, bit for bit.  All edges
+        are canonicalised by one sort on a ``(slot, source, destination)``
+        key, after which each slot's CSR is a slice.
+        """
+        colptr, row = self._colptr, self._row
+        m = len(keys)
+        targets = np.fromiter((k[0] for k in keys), dtype=np.int64, count=m)
+        hops = np.fromiter((k[1] for k in keys), dtype=np.int64, count=m)
+        fans = np.fromiter((k[2] for k in keys), dtype=np.int64, count=m)
+        slots = np.arange(m)
+        num_local = np.ones(m, dtype=np.int64)
+        rngs: Dict[int, np.random.Generator] = {}
+        # local id of (slot s, vertex index d) at s * width + d, -1 =
+        # unseen.  width bounds the distinct vertices all samples can
+        # reach; below the vertex count, vertices get dense indices
+        # through the shared scratch LUT (reset on return), otherwise a
+        # vertex id is its own index
+        n = colptr.size - 1
+        width = min(n, sum(_reach(h, f, n) for _, h, f in keys))
+        lut = self._local_lut if width < n else None
+        index = targets
+        if lut is not None:
+            dense_globals = [targets[self._first_seen(targets)]]
+            num_dense = dense_globals[0].size
+            lut[dense_globals[0]] = np.arange(num_dense)
+            index = lut[targets]
+        local_of = np.full(m * width, -1, dtype=np.int64)
+        first_scratch = np.empty(local_of.size, dtype=np.int64)
+        zeros = np.zeros(m, dtype=np.int64)
+        local_of[slots * width + index] = zeros
+        vert_parts = [(slots, zeros, targets)]  # (slot, local, global)
+        edge_parts: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        live = hops > 0
+        frontier, f_slot, f_local = targets[live], slots[live], zeros[live]
+        for hop in range(int(hops.max(initial=0))):
+            if hop:
+                # slots whose hop budget is spent stop expanding
+                within = hops[f_slot] > hop
+                if not within.all():
+                    frontier, f_slot, f_local = \
+                        frontier[within], f_slot[within], f_local[within]
+            if frontier.size == 0:
+                break
+            starts = colptr[frontier]
+            degs = colptr[frontier + 1] - starts
+            fan = fans[f_slot]
+            counts = np.minimum(degs, fan)
+            seg_end = np.cumsum(counts)
+            total = int(seg_end[-1])
+            if total == 0:
+                break
+            seg_start = seg_end - counts
+            over = np.flatnonzero(degs > fan)
+            if over.size == 0:
+                rel = np.arange(total) - np.repeat(seg_start, counts)
+                neigh = row[np.repeat(starts, counts) + rel]
+            else:
+                full = np.flatnonzero(degs <= fan)
+                neigh = np.empty(total, dtype=np.int64)
+                if full.size:
+                    f_counts = counts[full]
+                    f_end = np.cumsum(f_counts)
+                    rel = np.arange(int(f_end[-1])) - np.repeat(
+                        f_end - f_counts, f_counts)
+                    neigh[np.repeat(seg_start[full], f_counts) + rel] = \
+                        row[np.repeat(starts[full], f_counts) + rel]
+                # one phase per over-fanout vertex, drawn slot by slot from
+                # each target's own stream, in frontier order
+                o_slot = f_slot[over]
+                heads = np.flatnonzero(np.diff(o_slot, prepend=-1))
+                phases = []
+                for s, c in zip(o_slot[heads].tolist(),
+                                np.diff(heads, append=over.size).tolist()):
+                    rng = rngs.get(s)
+                    if rng is None:
+                        rng = rngs[s] = np.random.default_rng(
+                            (self.seed, keys[s][0]))
+                    phases.append(rng.random(c))
+                u = np.concatenate(phases)
+                o_fan = fan[over]
+                step = degs[over] / o_fan
+                o_end = np.cumsum(o_fan)
+                j = np.arange(int(o_end[-1])) - np.repeat(o_end - o_fan, o_fan)
+                u_rep = np.repeat(u, o_fan)
+                step_rep = np.repeat(step, o_fan)
+                # elementwise the same float64 arithmetic as _extract_arrays
+                offs = (u_rep * step_rep + j * step_rep).astype(np.int64)
+                neigh[np.repeat(seg_start[over], o_fan) + j] = \
+                    row[np.repeat(starts[over], o_fan) + offs]
+            e_slot = np.repeat(f_slot, counts)
+            dst_local = np.repeat(f_local, counts)
+            index = neigh
+            if lut is not None:
+                index = lut[neigh]
+                undensed = index < 0
+                if undensed.any():
+                    fresh = neigh[undensed]
+                    fresh = fresh[self._first_seen(fresh)]
+                    lut[fresh] = num_dense + np.arange(fresh.size)
+                    num_dense += fresh.size
+                    dense_globals.append(fresh)
+                    index[undensed] = lut[neigh[undensed]]
+            at = e_slot * width + index
+            src_local = local_of[at]
+            edge_parts.append((e_slot, src_local, dst_local))
+            unseen = np.flatnonzero(src_local < 0)
+            if unseen.size == 0:
+                break
+            at_unseen = at[unseen]
+            first = unseen[_first_seen(first_scratch, at_unseen)]
+            new_slot = e_slot[first]
+            per_slot = np.bincount(new_slot, minlength=m)
+            group_start = np.cumsum(per_slot) - per_slot
+            new_local = num_local[new_slot] + np.arange(first.size) \
+                - group_start[new_slot]
+            num_local += per_slot
+            local_of[at[first]] = new_local
+            # completes the src_local array appended above
+            src_local[unseen] = local_of[at_unseen]
+            frontier, f_slot, f_local = neigh[first], new_slot, new_local
+            vert_parts.append((new_slot, new_local, frontier))
+        if lut is not None:
+            lut[np.concatenate(dense_globals)] = -1  # reset touched entries
+        # per-slot vertex order: slot s owns [offset[s], offset[s] + n_s)
+        offset = np.cumsum(num_local) - num_local
+        total_local = int(num_local.sum())
+        order_all = np.empty(total_local, dtype=np.int64)
+        for v_slot, v_local, v_global in vert_parts:
+            order_all[offset[v_slot] + v_local] = v_global
+        indptr_all = np.zeros(total_local + 1, dtype=np.int64)
+        if edge_parts:
+            e_slot, src, dst = (np.concatenate(p) for p in zip(*edge_parts))
+            e_row = offset[e_slot] + src
+            num_cols = int(num_local.max())
+            if total_local <= (2 ** 62) // num_cols:
+                key = np.sort(e_row * num_cols + dst)
+                keep = np.ones(key.size, dtype=bool)
+                keep[1:] = key[1:] != key[:-1]
+                key = key[keep]
+                e_row = key // num_cols
+                cols = key - e_row * num_cols
+            else:
+                by_edge = np.lexsort((dst, e_row))
+                e_row, cols = e_row[by_edge], dst[by_edge]
+                keep = np.ones(e_row.size, dtype=bool)
+                keep[1:] = (e_row[1:] != e_row[:-1]) | (cols[1:] != cols[:-1])
+                e_row, cols = e_row[keep], cols[keep]
+            np.cumsum(np.bincount(e_row + 1, minlength=total_local + 1),
+                      out=indptr_all)
+        else:
+            cols = np.empty(0, dtype=np.int64)
+        features = self.graph.features
+        name = self.graph.name
+        order_list = order_all.tolist()
+        samples = []
+        for s, (lo, size) in enumerate(zip(offset.tolist(),
+                                           num_local.tolist())):
+            hi = lo + size
+            e_lo = indptr_all[lo]
+            csr = CSRMatrix.from_parts(indptr_all[lo:hi + 1] - e_lo,
+                                       cols[e_lo:indptr_all[hi]].copy(), size)
+            order = order_all[lo:hi].copy()
+            target = keys[s][0]
+            graph = Graph(csr, features[order], name=f"{name}[v{target}]")
+            order.setflags(write=False)
+            samples.append(SubgraphSample(
+                target_vertex=target, vertices=tuple(order_list[lo:hi]),
+                graph=graph, vertex_ids=order))
+        return samples
 
     def _extract(self, target_vertex: int, num_hops: int,
                  fanout: int) -> SubgraphSample:

@@ -367,9 +367,8 @@ class ShardExecutor:
             request_shapes = [(r.target_vertex, r.degrade_hops,
                                r.degrade_fanout) for r in requests]
             shapes = list(dict.fromkeys(request_shapes))
-            by_shape = {s: self.sampler.extract(s[0], num_hops=s[1],
-                                                fanout=s[2]) for s in shapes}
-            samples = [by_shape[s] for s in shapes]
+            samples = self.sampler.extract_batch(shapes)
+            by_shape = dict(zip(shapes, samples))
             naive = sum(by_shape[s].num_vertices for s in request_shapes)
             if len(samples) == 1:
                 fused = samples[0].graph

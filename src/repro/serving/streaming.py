@@ -506,21 +506,19 @@ class StreamState:
         if not self.stream.check:
             return
         sampler = self.sampler
-        seen: Set[Tuple] = set()
-        for request in batch.requests:
-            if request.degrade_level > 0:
-                continue
-            shape = (request.target_vertex, request.degrade_hops,
-                     request.degrade_fanout)
-            if shape in seen:
-                continue
-            seen.add(shape)
+        shapes = list(dict.fromkeys(
+            (r.target_vertex, r.degrade_hops, r.degrade_fanout)
+            for r in batch.requests if r.degrade_level == 0))
+        # a memo entry's recorded version changes only when the entry is
+        # re-extracted, and a re-extracted entry always equals the fresh
+        # sample, so versions read before the memo pass are the ones the
+        # stale branches need
+        versions = [sampler.memo_version(*shape) for shape in shapes]
+        memos = sampler.extract_batch(shapes)
+        freshes = sampler.extract_fresh_batch(shapes)
+        for shape, entry_version, memo, fresh in zip(shapes, versions,
+                                                     memos, freshes):
             self.stats.checks += 1
-            entry_version = sampler.memo_version(*shape)
-            memo = sampler.extract(shape[0], num_hops=shape[1],
-                                   fanout=shape[2])
-            fresh = sampler.extract_fresh(shape[0], num_hops=shape[1],
-                                          fanout=shape[2])
             if not np.array_equal(memo.vertex_array, fresh.vertex_array):
                 lag = self.graph.version - (entry_version or 0)
                 self._count_stale(lag, 0.0, "stale_samples")

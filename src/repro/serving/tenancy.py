@@ -52,7 +52,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..graphs.datasets import DATASETS, load_dataset
 from ..graphs.delta import DeltaGraph
 from ..models.model_zoo import MODEL_NAMES, build_model
-from .batcher import Batch
+from .batcher import Batch, positive_finite
 from .batching import ALL_BATCH_POLICIES
 from .control import ControlConfig, TenantBinding
 from .fleet import (
@@ -170,10 +170,9 @@ class TenantConfig:
             raise ValueError("num_hops must be >= 0")
         if self.fanout < 1:
             raise ValueError("fanout must be >= 1")
-        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
-            raise ValueError("batch_timeout_s must be positive when set")
-        if self.slo_s is not None and self.slo_s <= 0:
-            raise ValueError("slo_s must be positive when set")
+        for name in ("batch_timeout_s", "slo_s"):
+            if getattr(self, name) is not None:
+                positive_finite(name, getattr(self, name))
         if self.cache_size < 0:
             raise ValueError("cache_size must be >= 0")
 

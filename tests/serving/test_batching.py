@@ -26,7 +26,9 @@ from repro.serving import (
     OverlapBatcher,
     Request,
     SIGNATURE_HASHES,
+    SLOAwareBatcher,
     SubgraphSampler,
+    TenantConfig,
     TimeoutBatcher,
     WFQScheduler,
     build_batch_policy,
@@ -397,6 +399,25 @@ class TestRegistry:
             FleetConfig(overlap_k=-1)
         with pytest.raises(ValueError):
             FleetConfig(pool_factor=0)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+    def test_batching_times_must_be_finite_and_positive(self, bad):
+        sig = _sig_fn(_distinct_sigs(4))
+        builders = [
+            lambda: TimeoutBatcher(timeout_s=bad),
+            lambda: SLOAwareBatcher(slo_s=bad),
+            lambda: OverlapBatcher(timeout_s=bad, signature_fn=sig),
+            lambda: ContinuousBatcher(join_window_s=bad, signature_fn=sig),
+            lambda: ContinuousBatcher(staleness_s=bad, signature_fn=sig),
+            *(lambda name=name: FleetConfig(**{name: bad})
+              for name in ("batch_timeout_s", "slo_s", "join_window_s",
+                           "staleness_s")),
+            *(lambda name=name: TenantConfig(name="t", **{name: bad})
+              for name in ("batch_timeout_s", "slo_s")),
+        ]
+        for build in builders:
+            with pytest.raises(ValueError, match="finite and positive"):
+                build()
 
     def test_signature_hops_resolution(self):
         assert FleetConfig(num_hops=2).signature_hops == 1

@@ -102,6 +102,15 @@ NON_FINITE_RATE_ARGS = [
 ]
 
 
+#: A NaN batching time slipped past the old ``x <= 0`` checks: a NaN batch
+#: timeout hung the event loop, the others ran a meaningless report.
+NON_FINITE_BATCHING_ARGS = [
+    ["--batch-timeout-ms", "nan"], ["--slo-ms", "nan"],
+    ["--batch-policy", "continuous", "--join-window-ms", "nan"],
+    ["--batch-policy", "continuous", "--staleness-ms", "nan"],
+]
+
+
 #: ``--update-rate`` is updates per *request*; read as a per-second rate
 #: it once pre-generated billions of update events and OOM-killed the run.
 RUNAWAY_UPDATE_ARGS = [
@@ -131,6 +140,11 @@ def _serve_exits_2_quickly(flags) -> str:
 @pytest.mark.parametrize("flags", NON_FINITE_RATE_ARGS, ids=" ".join)
 def test_non_finite_rates_exit_2_quickly(flags):
     assert "finite" in _serve_exits_2_quickly(flags)
+
+
+@pytest.mark.parametrize("flags", NON_FINITE_BATCHING_ARGS, ids=" ".join)
+def test_non_finite_batching_times_exit_2_quickly(flags):
+    assert "finite and positive" in _serve_exits_2_quickly(flags)
 
 
 @pytest.mark.parametrize("flags", RUNAWAY_UPDATE_ARGS, ids=" ".join)
