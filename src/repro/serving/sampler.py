@@ -724,8 +724,8 @@ class SubgraphSampler:
         over-fanout phases are drawn slot by slot from each target's own
         ``default_rng((seed, target))`` in frontier order.  So every sample
         equals :meth:`_extract_arrays` on its key, bit for bit.  All edges
-        are canonicalised by one sort on a ``(slot, source, destination)``
-        key, after which each slot's CSR is a slice.
+        are canonicalised by one :meth:`CSRMatrix.from_arrays` call on the
+        slots' stacked rows, after which each slot's CSR is a slice.
         """
         colptr, row = self._colptr, self._row
         m = len(keys)
@@ -852,27 +852,17 @@ class SubgraphSampler:
         order_all = np.empty(total_local, dtype=np.int64)
         for v_slot, v_local, v_global in vert_parts:
             order_all[offset[v_slot] + v_local] = v_global
-        indptr_all = np.zeros(total_local + 1, dtype=np.int64)
+        # all slots' edges as one stacked matrix (slot s owns the rows
+        # [offset[s], offset[s] + n_s)); its canonical form, sliced by
+        # slot, is each slot's canonical CSR
         if edge_parts:
             e_slot, src, dst = (np.concatenate(p) for p in zip(*edge_parts))
-            e_row = offset[e_slot] + src
-            num_cols = int(num_local.max())
-            if total_local <= (2 ** 62) // num_cols:
-                key = np.sort(e_row * num_cols + dst)
-                keep = np.ones(key.size, dtype=bool)
-                keep[1:] = key[1:] != key[:-1]
-                key = key[keep]
-                e_row = key // num_cols
-                cols = key - e_row * num_cols
-            else:
-                by_edge = np.lexsort((dst, e_row))
-                e_row, cols = e_row[by_edge], dst[by_edge]
-                keep = np.ones(e_row.size, dtype=bool)
-                keep[1:] = (e_row[1:] != e_row[:-1]) | (cols[1:] != cols[:-1])
-                e_row, cols = e_row[keep], cols[keep]
-            np.cumsum(np.bincount(e_row + 1, minlength=total_local + 1),
-                      out=indptr_all)
+            stacked = CSRMatrix.from_arrays(offset[e_slot] + src, dst,
+                                            total_local,
+                                            int(num_local.max()))
+            indptr_all, cols = stacked.indptr, stacked.indices
         else:
+            indptr_all = np.zeros(total_local + 1, dtype=np.int64)
             cols = np.empty(0, dtype=np.int64)
         features = self.graph.features
         name = self.graph.name
