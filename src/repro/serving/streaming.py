@@ -508,11 +508,11 @@ class StreamState:
         sampler = self.sampler
         shapes = list(dict.fromkeys(
             (r.target_vertex, r.degrade_hops, r.degrade_fanout)
-            for r in batch.requests if r.degrade_level == 0))
-        # a memo entry's recorded version changes only when the entry is
-        # re-extracted, and a re-extracted entry always equals the fresh
-        # sample, so versions read before the memo pass are the ones the
-        # stale branches need
+            for r in batch.requests if r.degrade_level <= 0))
+        # each shape's memo version from before its own extraction, which
+        # the stale branches report lag from; the memo pass's sync drops a
+        # version only together with the shape's sample and signature
+        # entries, which leaves nothing stale to report for that shape
         versions = [sampler.memo_version(*shape) for shape in shapes]
         memos = sampler.extract_batch(shapes)
         freshes = sampler.extract_fresh_batch(shapes)
