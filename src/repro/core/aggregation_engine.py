@@ -25,6 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..graphs.csc import to_csc
 from ..graphs.graph import Graph
 from ..graphs.partition import IntervalShardPartition, partition_graph
 from ..graphs.sampling import NeighborSampler
@@ -69,10 +70,18 @@ class AggregationEngine:
 
     # ------------------------------------------------------------------ #
     def prepare_graph(self, workload: LayerWorkload) -> Graph:
-        """Apply the Sampler: materialise the sampled edge structure."""
+        """Apply the Sampler: materialise the sampled edge structure.
+
+        A CSR-built graph (the serving layer's fused batches) is given a CSC
+        view first, so the Sampler takes its array path, which draws the
+        same sample as its per-vertex path.
+        """
         sampling = workload.aggregation.sampling
         if sampling is not None and sampling.enabled:
-            return NeighborSampler(sampling).sample_graph(workload.graph)
+            graph = workload.graph
+            if not getattr(graph, "is_csc", False):
+                graph = to_csc(graph)
+            return NeighborSampler(sampling).sample_graph(graph)
         return workload.graph
 
     def partition(self, graph: Graph, feature_length: int) -> IntervalShardPartition:

@@ -90,9 +90,9 @@ class DeltaGraph(Graph):
         self._feature_overlay: Dict[int, np.ndarray] = {}
         # (version, vertex) per applied mutation, for targeted invalidation
         self._dirty_log: List[Tuple[int, int]] = []
-        #: version of the last feature write (or creation) per vertex;
-        #: vertices absent from the map carry their base features.
-        self._feature_versions: Dict[int, int] = {}
+        #: version of the last feature write (or creation) per vertex, 0
+        #: for base features; grown by doubling as vertices are added.
+        self._feature_versions = np.zeros(base.num_vertices, dtype=np.int64)
         self._snapshot: Optional[Tuple[np.ndarray, np.ndarray,
                                        np.ndarray]] = None
         self._csr_cache: Optional[CSRMatrix] = None
@@ -132,7 +132,11 @@ class DeltaGraph(Graph):
         self._num_vertices += 1
         self._new_features.append(row)
         self._mutated(vertex)
-        self._feature_versions[vertex] = self.version
+        versions = self._feature_versions
+        if vertex >= versions.size:
+            self._feature_versions = versions = np.concatenate(
+                [versions, np.zeros(max(versions.size, 1), dtype=np.int64)])
+        versions[vertex] = self.version
         return vertex
 
     def write_features(self, vertex: int, features: np.ndarray) -> None:
@@ -185,7 +189,11 @@ class DeltaGraph(Graph):
 
     def feature_version(self, vertex: int) -> int:
         """Version of the last feature write to ``vertex`` (0 = base)."""
-        return self._feature_versions.get(int(vertex), 0)
+        return int(self._feature_versions[int(vertex)])
+
+    def feature_versions(self, vertices: np.ndarray) -> np.ndarray:
+        """:meth:`feature_version` of every id in ``vertices`` (one gather)."""
+        return self._feature_versions[vertices]
 
     @property
     def pending_mutations(self) -> int:

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
+from .batcher import positive_finite
 from .hetero import SCALE_SHAPE_POLICIES
 from .stats import AdmissionStats, ControlSample, ControlStats, ScaleEvent
 
@@ -139,16 +140,17 @@ class ControlConfig:
             raise ValueError("min_chips must be >= 1")
         if self.max_chips < self.min_chips:
             raise ValueError("max_chips must be >= min_chips")
-        if self.control_interval_s is not None and self.control_interval_s <= 0:
-            raise ValueError("control_interval_s must be positive when set")
-        if self.warmup_s is not None and self.warmup_s < 0:
-            raise ValueError("warmup_s must be >= 0 when set")
-        if self.admission_rate_rps is not None and self.admission_rate_rps <= 0:
-            raise ValueError("admission_rate_rps must be positive when set")
+        for name in ("control_interval_s", "admission_rate_rps"):
+            if getattr(self, name) is not None:
+                positive_finite(name, getattr(self, name))
+        # a zero warm-up is allowed: the chip serves as soon as it is added
+        if self.warmup_s is not None \
+                and not (math.isfinite(self.warmup_s) and self.warmup_s >= 0):
+            raise ValueError(f"warmup_s must be finite and >= 0 when set, "
+                             f"got {self.warmup_s}")
         if self.admission_burst < 1:
             raise ValueError("admission_burst must be >= 1")
-        if self.admission_slo_margin <= 0:
-            raise ValueError("admission_slo_margin must be positive")
+        positive_finite("admission_slo_margin", self.admission_slo_margin)
         if self.max_degrade_level < 1:
             raise ValueError("max_degrade_level must be >= 1")
 

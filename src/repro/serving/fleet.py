@@ -71,7 +71,7 @@ from .batching import (
     make_signature_fn,
     resolve_signature_hops,
 )
-from .cache import LRUCache
+from .cache import FeatureCache, LRUCache, feature_cache_step
 from .control import ControlConfig, ControlObservation, ControlPlane, TenantBinding
 from .hetero import (
     DEFAULT_SHAPE,
@@ -277,7 +277,7 @@ class Chip:
         self.simulator = HyGCNSimulator(hw)
         self.queue: Deque[Tuple[Batch, float]] = deque()
         self.current: Optional[Batch] = None
-        self.feature_cache = LRUCache(feature_cache_size)
+        self.feature_cache = FeatureCache(feature_cache_size)
         self.stats = ChipStats(chip_id=chip_id, shape=shape)
         self.state = "active"
         self.added_s = 0.0
@@ -445,7 +445,7 @@ def _build_dispatch(policy: str, num_vertices: int, num_chips: int,
 # --------------------------------------------------------------------------- #
 def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
                                dataset_name: str, reuse_discount: float,
-                               cache_key=None, account: bool = True,
+                               key_space="", account: bool = True,
                                stream=None, now: float = 0.0) -> float:
     """Simulated execution time of the fused subgraph batch on ``chip``.
 
@@ -460,10 +460,12 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
 
     The chip's feature-cache hit fraction further discounts the simulated
     time by up to ``reuse_discount`` (warm features skip their DRAM
-    stream).  ``cache_key`` maps a global vertex id to the feature-cache
-    key -- multi-tenant serving passes ``lambda v: (tenant, v)`` so
+    stream).  ``key_space`` names the lane's key space in the feature
+    cache -- multi-tenant serving passes the tenant name, so
     numerically-aliasing vertex ids from different tenants' graphs never
-    share cache entries.
+    share cache entries.  The batch's vertices go through the cache as one
+    :func:`~repro.serving.cache.feature_cache_step` in the iteration order
+    of their Python set (the order the per-vertex loop visited them in).
 
     Degraded requests (control-plane ladder) carry per-request hop/fanout
     overrides; subgraph *sharing* requires both the target and the sampling
@@ -499,25 +501,9 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     vertices: Set[int] = set()
     for sample in samples:
         vertices.update(sample.vertices)
-    key = cache_key if cache_key is not None else (lambda v: v)
-    if stream is None:
-        hits = sum(1 for v in vertices
-                   if chip.feature_cache.get(key(v)) is not None)
-        for v in vertices:
-            chip.feature_cache.put(key(v), True)
-    else:
-        # streaming run: lines carry the feature version they were filled
-        # at, so a hit can be consistency-checked against the vertex's
-        # current feature version (stale only under --invalidation none)
-        hits = 0
-        for v in vertices:
-            stamp = chip.feature_cache.get(key(v))
-            if stamp is not None:
-                hits += 1
-                stream.on_feature_hit(int(v), stamp, now)
-        for v in vertices:
-            chip.feature_cache.put(key(v),
-                                   stream.graph.feature_version(int(v)))
+    keys = np.fromiter(vertices, dtype=np.int64, count=len(vertices))
+    hits = feature_cache_step(chip.feature_cache, keys, key_space, stream,
+                              now)
     reuse_fraction = hits / len(vertices) if vertices else 0.0
     service_s = report.execution_time_s * (1.0 - reuse_discount * reuse_fraction)
     if account:
@@ -800,9 +786,9 @@ class Lane:
     (SLO, batch timeout, continuous-batching budgets) and the cost EWMAs the
     control plane reads.  Single-tenant serving runs one lane named ``""``;
     multi-tenant serving runs one :class:`~repro.serving.tenancy.\
-TenantRuntime` lane per tenant.  ``cache_key`` maps a vertex id to its
-    feature/halo-cache key (``None`` = the id itself): tenants key by
-    ``(tenant, vertex)`` so ids from different graphs never alias.
+TenantRuntime` lane per tenant.  The lane's name is its key space in the
+    per-chip feature caches and halo caches, so vertex ids from different
+    tenants' graphs never alias.
 
     The simulator binds ``shard_executor`` / ``stream`` on sharded and
     mutating runs; :meth:`reset` arms a fresh batcher and cost estimates.
@@ -812,7 +798,7 @@ TenantRuntime` lane per tenant.  ``cache_key`` maps a vertex id to its
                  dataset_name: str, fleet: FleetConfig, *, seed: int,
                  max_batch_size: int, batch_policy: str, cache_size: int,
                  slo_s: Optional[float] = None,
-                 batch_timeout_s: Optional[float] = None, cache_key=None):
+                 batch_timeout_s: Optional[float] = None):
         self.name = name
         self.graph = graph
         self.model = model
@@ -822,7 +808,6 @@ TenantRuntime` lane per tenant.  ``cache_key`` maps a vertex id to its
         self.seed = seed
         self.max_batch_size = max_batch_size
         self.batch_policy = batch_policy
-        self.cache_key = cache_key
         self._slo_s = slo_s
         self._batch_timeout_s = batch_timeout_s
         self.result_cache = LRUCache(cache_size)
@@ -1036,7 +1021,7 @@ class FleetSimulator:
                     shard_plan_for(lane.graph, sharding), self.chips,
                     lane.sampler, lane.model, lane.dataset_name, sharding,
                     feature_bytes=nbytes, stats=self.sharding_stats,
-                    halo_caches=halo_caches, key_fn=lane.cache_key)
+                    halo_caches=halo_caches, key_space=lane.name)
         #: Consistency stats of a mutating run (None on a static one); every
         #: lane serves its own graph through its own StreamState, and they
         #: all fold into this one object.
@@ -1049,7 +1034,7 @@ class FleetSimulator:
                 lane.stream = StreamState(
                     lane.graph, lane.sampler, updates, self.consistency,
                     result_cache=lane.result_cache, chips=self.chips,
-                    feature_key=lane.cache_key,
+                    key_space=lane.name,
                     shard_executor=lane.shard_executor, observe=observe)
         #: The control plane of the most recent run (None when fixed).
         self.control: Optional[ControlPlane] = None
@@ -1084,7 +1069,7 @@ class FleetSimulator:
             chip, lane.sampler, lane.model, batch,
             dataset_name=lane.dataset_name,
             reuse_discount=self.fleet.reuse_discount,
-            cache_key=lane.cache_key, stream=lane.stream, now=now)
+            key_space=lane.name, stream=lane.stream, now=now)
 
 
 class _EventLoop:

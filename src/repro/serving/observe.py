@@ -54,6 +54,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .batcher import positive_finite
 from .stats import percentile
 
 __all__ = [
@@ -280,8 +281,8 @@ class Instrumentation:
 
     def __init__(self, trace: bool = True, metrics: bool = True,
                  metrics_interval_s: Optional[float] = None):
-        if metrics_interval_s is not None and metrics_interval_s <= 0:
-            raise ValueError("metrics_interval_s must be positive")
+        if metrics_interval_s is not None:
+            positive_finite("metrics_interval_s", metrics_interval_s)
         self.trace_enabled = bool(trace)
         self.metrics_enabled = bool(metrics)
         self.metrics_interval_s = metrics_interval_s

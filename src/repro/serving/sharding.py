@@ -39,6 +39,7 @@ unsharded run (asserted in ``tests/serving/test_sharding.py``).  See
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -52,7 +53,8 @@ from ..graphs.partition import (
     hash_partition,
     locality_partition,
 )
-from .cache import LRUCache
+from .batcher import positive_finite
+from .cache import LRUCache, feature_cache_step
 from .stats import ShardingStats
 
 __all__ = [
@@ -97,8 +99,7 @@ class InterconnectConfig:
     message_bytes: int = 4096
 
     def __post_init__(self) -> None:
-        if self.link_gbps <= 0:
-            raise ValueError("link_gbps must be positive")
+        positive_finite("link_gbps", self.link_gbps)
         if self.latency_ns < 0:
             raise ValueError("latency_ns must be >= 0")
         if self.message_bytes < 1:
@@ -135,8 +136,9 @@ class ShardingConfig:
             raise ValueError(
                 f"partitioner must be one of {sorted(PARTITIONERS)}, "
                 f"got {self.partitioner!r}")
-        if self.halo_cache_mb < 0:
-            raise ValueError("halo_cache_mb must be >= 0")
+        if not (math.isfinite(self.halo_cache_mb) and self.halo_cache_mb >= 0):
+            raise ValueError(f"halo_cache_mb must be finite and >= 0, "
+                             f"got {self.halo_cache_mb}")
 
 
 #: Shard-plan memo keyed on (graph identity, structure fingerprint, shards,
@@ -201,9 +203,10 @@ class ShardExecutor:
 
     One executor per (run, tenant): it owns the plan and the sampler/model
     binding, while the per-chip halo caches may be shared across tenants
-    (the multi-tenant path passes one cache list for the whole fleet and a
-    ``key_fn`` mapping vertex ids to ``(tenant, vertex)`` keys, mirroring
-    the feature-cache convention).
+    (the multi-tenant path passes one cache list for the whole fleet).
+    ``key_space`` names the lane: halo keys are ``(key_space, vertex)``
+    and it is the lane's key space in the chips' feature caches, so
+    tenants' vertex ids never alias.
 
     The executor never touches the event loop: the fleet calls
     :meth:`service_time_s` exactly where the unsharded path calls
@@ -215,7 +218,7 @@ class ShardExecutor:
                  dataset_name: str, config: ShardingConfig,
                  feature_bytes: int, stats: Optional[ShardingStats] = None,
                  halo_caches: Optional[List[LRUCache]] = None,
-                 key_fn=None):
+                 key_space=""):
         if len(chips) < plan.num_shards:
             raise ValueError(
                 f"chip group of {len(chips)} cannot host {plan.num_shards} "
@@ -239,7 +242,7 @@ class ShardExecutor:
                            / max(self.feature_bytes, 1))
             halo_caches = [LRUCache(capacity) for _ in range(plan.num_shards)]
         self.halo_caches = halo_caches
-        self._key_fn = key_fn if key_fn is not None else (lambda v: v)
+        self.key_space = key_space
         #: armed by :class:`~repro.serving.streaming.StreamState` on
         #: mutating runs; ``None`` keeps the static fast path untouched.
         self.stream = None
@@ -287,7 +290,7 @@ class ShardExecutor:
 
     def invalidate_halo(self, vertex: int, stats) -> int:
         """Drop ``vertex``'s entry from every halo cache (``targeted``)."""
-        key = self._key_fn(int(vertex))
+        key = (self.key_space, int(vertex))
         dropped = 0
         for cache in self.halo_caches:
             if cache.invalidate(key):
@@ -310,13 +313,13 @@ class ShardExecutor:
         ghost served under the ``none`` policy.
         """
         cache = self.halo_caches[shard]
-        key = self._key_fn
+        space = self.key_space
         stream = self.stream
         hits = 0
         if account:
             misses_list = []
             for v in ghosts:
-                stamp = cache.get(key(int(v)))
+                stamp = cache.get((space, int(v)))
                 if stamp is not None:
                     hits += 1
                     if stream is not None:
@@ -324,12 +327,12 @@ class ShardExecutor:
                 else:
                     misses_list.append(int(v))
             for v in misses_list:
-                cache.put(key(v), True if stream is None
+                cache.put((space, v), True if stream is None
                           else stream.graph.feature_version(v))
             misses = len(misses_list)
         else:
             # read-only peek: probes must not warm the caches
-            hits = sum(1 for v in ghosts if key(int(v)) in cache)
+            hits = sum(1 for v in ghosts if (space, int(v)) in cache)
             misses = int(ghosts.size) - hits
         moved = misses * self.feature_bytes
         dram_s = moved / hbm_gbps * 1e-9 if moved else 0.0
@@ -389,24 +392,15 @@ class ShardExecutor:
             phase_cycles["combination"] += report.combination_cycles
             phase_cycles["dram_busy"] += report.dram_stats.busy_cycles
             # per-chip feature-cache reuse, same semantics as the unsharded
-            # path: warm features skip their DRAM stream on this chip
-            key = self._key_fn
-            stream = self.stream
+            # path (keys in ``union`` order): warm features skip their DRAM
+            # stream on this chip
             if account:
-                feature_hits = 0
-                for v in union:
-                    stamp = chip.feature_cache.get(key(int(v)))
-                    if stamp is not None:
-                        feature_hits += 1
-                        if stream is not None:
-                            stream.on_feature_hit(int(v), stamp, now)
-                for v in union:
-                    chip.feature_cache.put(
-                        key(int(v)), True if stream is None
-                        else stream.graph.feature_version(int(v)))
+                feature_hits = feature_cache_step(
+                    chip.feature_cache, union, self.key_space, self.stream,
+                    now)
             else:
-                feature_hits = sum(1 for v in union if key(int(v))
-                                   in chip.feature_cache)
+                feature_hits = int(np.count_nonzero(
+                    chip.feature_cache.contains(union, self.key_space)))
             reuse_fraction = feature_hits / union.size if union.size else 0.0
             compute_s = report.execution_time_s \
                 * (1.0 - reuse_discount * reuse_fraction)

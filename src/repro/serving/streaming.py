@@ -320,21 +320,20 @@ class StreamState:
     :class:`~repro.serving.stats.ConsistencyStats`.
 
     ``chips`` is the live chip roster (the same list object the scaler
-    mutates, so elastic fleets stay covered); ``feature_key`` maps a vertex
-    id to the per-chip feature-cache key the service-time model uses.
+    mutates, so elastic fleets stay covered); ``key_space`` is the lane's
+    key space in the per-chip feature caches.
     """
 
     def __init__(self, graph: DeltaGraph, sampler, stream: UpdateStream,
                  stats: ConsistencyStats, *, result_cache=None, chips=None,
-                 feature_key=None, shard_executor=None, observe=None):
+                 key_space="", shard_executor=None, observe=None):
         self.graph = graph
         self.sampler = sampler
         self.stream = stream
         self.stats = stats
         self.result_cache = result_cache
         self.chips = chips if chips is not None else []
-        self.feature_key = feature_key if feature_key is not None \
-            else (lambda v: v)
+        self.key_space = key_space
         self.shard_executor = shard_executor
         self.observe = observe
         sampler.invalidation = stream.policy
@@ -432,9 +431,8 @@ class StreamState:
                             count += 1
                         self._result_meta.pop(key, None)
             for v in feature_writes:
-                key = self.feature_key(v)
                 for chip in self.chips:
-                    if chip.feature_cache.invalidate(key):
+                    if chip.feature_cache.invalidate(v, self.key_space):
                         stats.invalidations["feature"] += 1
                         count += 1
                 if self.shard_executor is not None:
@@ -534,13 +532,16 @@ class StreamState:
                     lag = self.graph.version - (entry_version or 0)
                     self._count_stale(lag, 0.0, "stale_signatures")
 
-    def on_feature_hit(self, vertex: int, stamp, now: float) -> None:
-        """Consistency probe on a feature-cache (or halo-cache) hit."""
-        current = self.graph.feature_version(vertex)
-        if isinstance(stamp, bool):
-            stamp = 0
-        if int(stamp) < current:
-            self._count_stale(current - int(stamp),
+    def check_feature_hits(self, vertices: np.ndarray, stamps: np.ndarray,
+                           now: float) -> None:
+        """Consistency probe on one batch's feature-cache hits: ``stamps``
+        are the feature versions the hit lines were filled at.  Stale hits
+        are counted in ``vertices`` order, so the float lag sums add up
+        exactly as a per-hit probe would add them."""
+        lag = self.graph.feature_versions(vertices) - stamps
+        for i in np.flatnonzero(lag > 0).tolist():
+            vertex = int(vertices[i])
+            self._count_stale(int(lag[i]),
                               now - self._last_mutation_s.get(vertex, now),
                               "stale_features")
 

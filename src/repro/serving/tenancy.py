@@ -247,13 +247,11 @@ class TenantRuntime(Lane):
         model = build_model(config.model, input_length=graph.feature_length)
         sampler = SubgraphSampler(graph, num_hops=config.num_hops,
                                   fanout=config.fanout, seed=seed)
-        name = config.name
         super().__init__(
-            name, graph, model, sampler, config.dataset, fleet, seed=seed,
-            max_batch_size=config.max_batch_size,
+            config.name, graph, model, sampler, config.dataset, fleet,
+            seed=seed, max_batch_size=config.max_batch_size,
             batch_policy=config.batch_policy, cache_size=config.cache_size,
-            slo_s=config.slo_s, batch_timeout_s=config.batch_timeout_s,
-            cache_key=lambda v: (name, v))
+            slo_s=config.slo_s, batch_timeout_s=config.batch_timeout_s)
         self.reset()
         # WFQ batch-cost model: EWMA of service seconds per *fused* vertex,
         # seeded by the probe batch's measured fused size.

@@ -111,6 +111,19 @@ NON_FINITE_BATCHING_ARGS = [
 ]
 
 
+#: NaN control, sharding and metrics settings slipped past the same
+#: ``x <= 0`` checks and ran a plausible report (the metrics rows carried
+#: ``"t_s": NaN``, which is not valid JSON).
+NON_FINITE_CONFIG_ARGS = [
+    ["--autoscale", "threshold", "--control-interval-ms", "nan"],
+    ["--autoscale", "threshold", "--warmup-ms", "nan"],
+    ["--admission", "--admission-rate", "nan"],
+    ["--chips", "2", "--shards", "2", "--interconnect-gbps", "nan"],
+    ["--chips", "2", "--shards", "2", "--halo-cache-mb", "nan"],
+    ["--metrics-interval-ms", "nan", "--metrics-out", os.devnull],
+]
+
+
 #: ``--update-rate`` is updates per *request*; read as a per-second rate
 #: it once pre-generated billions of update events and OOM-killed the run.
 RUNAWAY_UPDATE_ARGS = [
@@ -145,6 +158,11 @@ def test_non_finite_rates_exit_2_quickly(flags):
 @pytest.mark.parametrize("flags", NON_FINITE_BATCHING_ARGS, ids=" ".join)
 def test_non_finite_batching_times_exit_2_quickly(flags):
     assert "finite and positive" in _serve_exits_2_quickly(flags)
+
+
+@pytest.mark.parametrize("flags", NON_FINITE_CONFIG_ARGS, ids=" ".join)
+def test_non_finite_config_values_exit_2_quickly(flags):
+    assert "finite" in _serve_exits_2_quickly(flags)
 
 
 @pytest.mark.parametrize("flags", RUNAWAY_UPDATE_ARGS, ids=" ".join)

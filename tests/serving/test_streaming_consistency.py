@@ -40,7 +40,7 @@ from hypothesis import strategies as st
 from repro.graphs import DeltaGraph, graphs_equal, load_dataset, to_csc
 from repro.graphs.csc import CSCGraph
 from repro.graphs.generators import power_law_graph
-from repro.serving.cache import LRUCache
+from repro.serving.cache import FeatureCache, LRUCache, feature_cache_step
 from repro.serving.fleet import FleetConfig, run_serving
 from repro.serving.sampler import SubgraphSampler
 from repro.serving.sharding import ShardingConfig
@@ -235,7 +235,7 @@ def test_compaction_is_invisible_mid_stream():
 # --------------------------------------------------------------------------- #
 class _FakeChip:
     def __init__(self, capacity=64):
-        self.feature_cache = LRUCache(capacity)
+        self.feature_cache = FeatureCache(capacity)
 
 
 def _stream_state(policy, *, with_result_cache=True, chips=0, seed=3):
@@ -291,20 +291,20 @@ def test_feature_cache_kill(policy):
     """A per-chip feature-cache entry outlives a feature write under
     ``none`` (stale stamp on hit) and is dropped under ``targeted``."""
     delta, sampler, state, stats = _stream_state(policy, chips=2)
-    vertex = 5
-    stamp = delta.feature_version(vertex)
+    vertex = np.array([5])
     for chip in state.chips:
-        chip.feature_cache.put(vertex, stamp)
-    state.apply(1.0, _feature_event(0, vertex))
+        feature_cache_step(chip.feature_cache, vertex, stream=state)
+    state.apply(1.0, _feature_event(0, int(vertex[0])))
     if policy == "none":
-        cached = state.chips[0].feature_cache.peek(vertex)
-        assert cached is not None
-        state.on_feature_hit(vertex, cached, now=2.0)
+        assert state.chips[0].feature_cache.contains(vertex).all()
+        hits = feature_cache_step(state.chips[0].feature_cache, vertex,
+                                  stream=state, now=2.0)
+        assert hits == 1
         assert stats.stale_features == 1
         assert stats.invalidations["feature"] == 0
     else:
-        assert all(chip.feature_cache.peek(vertex) is None
-                   for chip in state.chips)
+        assert not any(chip.feature_cache.contains(vertex).any()
+                       for chip in state.chips)
         assert stats.invalidations["feature"] == 2
         assert stats.stale_features == 0
 
