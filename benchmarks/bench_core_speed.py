@@ -21,8 +21,8 @@ sampling shape (2 hops, fanout 8).
 A fifth, ``feature-cache``, times the per-chip feature cache: one
 :meth:`~repro.serving.cache.FeatureCache.access` step per batch against
 the per-vertex :class:`~repro.serving.cache.LRUCache` ``get``-all/
-``put``-all loop it replaced, over the same seeded key batches on a cache
-small enough that every batch evicts.
+``put``-all loop with the same semantics, over the same seeded key
+batches on a cache small enough that every batch evicts.
 
 The assertions are the acceptance gate: the CSC core must deliver >= 10x
 ``sampler+fuse`` and ``fuse`` throughput over the object core (extract

@@ -24,9 +24,10 @@ distinct keys in one vectorised step that leaves the cache exactly as an
 :class:`LRUCache` of the same capacity would be after a ``get`` of every
 key followed by a ``put`` of every key, both in the caller's key order --
 same hits, misses, insertions and evictions, same surviving entries, same
-LRU order.  Key order is observable (it decides which batch vertices are
-the oldest, hence evicted first), so callers pass their keys in the order
-the per-vertex loop used to visit them.
+LRU order.  Key order is observable: it decides which batch vertices are
+the oldest, hence evicted first, so each caller's key order is part of the
+results (``tests/serving/fixtures/feature_cache_eviction_digests.json``
+pins it).
 """
 
 from __future__ import annotations

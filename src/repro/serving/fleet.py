@@ -464,8 +464,8 @@ def fused_batch_service_time_s(chip: Chip, sampler, model, batch: Batch,
     cache -- multi-tenant serving passes the tenant name, so
     numerically-aliasing vertex ids from different tenants' graphs never
     share cache entries.  The batch's vertices go through the cache as one
-    :func:`~repro.serving.cache.feature_cache_step` in the iteration order
-    of their Python set (the order the per-vertex loop visited them in).
+    :func:`~repro.serving.cache.feature_cache_step`, in the iteration order
+    of their Python set, which fixes their LRU order.
 
     Degraded requests (control-plane ladder) carry per-request hop/fanout
     overrides; subgraph *sharing* requires both the target and the sampling

@@ -536,8 +536,8 @@ class StreamState:
                            now: float) -> None:
         """Consistency probe on one batch's feature-cache hits: ``stamps``
         are the feature versions the hit lines were filled at.  Stale hits
-        are counted in ``vertices`` order, so the float lag sums add up
-        exactly as a per-hit probe would add them."""
+        are counted one by one in ``vertices`` order, which fixes the
+        summation order of the float lag sums."""
         lag = self.graph.feature_versions(vertices) - stamps
         for i in np.flatnonzero(lag > 0).tolist():
             vertex = int(vertices[i])

@@ -23,7 +23,7 @@ SPACES = ("", "recsys", "citations")
 
 
 def _reference_access(cache, keys, values, space):
-    """The per-vertex loop the array step replaces."""
+    """Reference semantics of one step: every get, then every put."""
     got = [cache.get((space, k)) for k in keys]
     for k, value in zip(keys, values):
         cache.put((space, k), value)
